@@ -185,9 +185,8 @@ def _squash_image(
     """
     f = RationalSquash(n)
     if rational_route:
-        def gen(p: int) -> AlgebraElement:
-            x = project(a, p)
-            return AlgebraElement(x.parent, [f.apply_matrix(b) for b in x.blocks])
+        def gen(p: int, indices: list[int]) -> list[np.ndarray]:
+            return [f.apply_matrix(b) for b in a.level_blocks(p, indices)]
 
         squashed = CoherentElement(a.tower, generator=gen)
     else:

@@ -16,16 +16,15 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .core_algebra import (
-    AlgebraElement,
     ExpI,
     FunctionDescriptor,
     PreconditionError,
     _block_eigenvalues,
     _block_norm,
+    _block_selfadjoint_parts,
     apply_function,
     cluster_points,
     cstar_norm,
-    selfadjoint_parts,
 )
 from .tower import CoherentElement, project
 
@@ -107,26 +106,20 @@ def _block_stat_sweep(
     Connecting maps conjugate surviving blocks by unitaries, and both the
     operator norm and the eigenvalue set are conjugation-invariant, so a
     block routed up the chain keeps its statistic; only newborn blocks are
-    computed. Yields (level, stats per block, fresh block indices).
+    computed, and only they are built. Yields (level, stats per block,
+    fresh block indices).
     """
     t = e.tower
-    prev: dict[int, object] = {}
+    stats: dict[int, object] = {}
     for p in range(1, horizon + 1):
-        if p == 1:
-            x = e.materialize(1, cache=False)
-            stats = {i: stat(b, i) for i, b in enumerate(x.blocks)}
-            fresh = list(range(len(x.blocks)))
-        else:
-            stats = {}
-            for j, route in enumerate(t.map(p - 1).routes):
-                stats[route[0]] = prev[j]
-            fresh = [
-                i for i in range(t.level(p).num_blocks) if i not in stats]
-            if fresh:  # levels without newborn blocks need no data at all
-                x = e.materialize(p, cache=False)
-                for i in fresh:
-                    stats[i] = stat(x.blocks[i], i)
-        prev = stats
+        if p > 1:
+            stats = {
+                route[0]: stats[j]
+                for j, route in enumerate(t.map(p - 1).routes)}
+        fresh = [i for i in range(t.level(p).num_blocks) if i not in stats]
+        if fresh:  # levels without newborn blocks need no data at all
+            for i, b in zip(fresh, e.level_blocks(p, fresh)):
+                stats[i] = stat(b, i)
         yield p, stats, fresh
 
 
@@ -244,8 +237,10 @@ def lift_function(
         raise PreconditionError(
             f"{f!r} does not fix 0, so it does not act on an ideal")
 
-    def gen(p: int) -> AlgebraElement:
-        return apply_function(project(e, p), f, tol)
+    def gen(p: int, indices: list[int]) -> list[np.ndarray]:
+        # the whole level: normality and domain tolerances scale with it
+        x = apply_function(project(e, p), f, tol)
+        return [x.blocks[i] for i in indices]
 
     norm_bound = None
     reason = None
@@ -294,8 +289,10 @@ def coherent_selfadjoint_parts(
     contraction on each summand).
     """
     def part(which: int):
-        def gen(p: int) -> AlgebraElement:
-            return selfadjoint_parts(project(e, p))[which]
+        def gen(p: int, indices: list[int]) -> list[np.ndarray]:
+            return [
+                _block_selfadjoint_parts(b)[which]
+                for b in e.level_blocks(p, indices)]
         return gen
 
     kwargs = dict(coherence_tol=e.coherence_tol, selfadjoint=True)

@@ -322,10 +322,16 @@ def is_selfadjoint(x: AlgebraElement, tol: float = DEFAULT_NORMALITY_TOL) -> boo
     return distance(x, x.adjoint()) <= tol * max(1.0, cstar_norm(x))
 
 
+def _block_selfadjoint_parts(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    bs = b.conj().T
+    return complex(0.5) * (b + bs), complex(0, -0.5) * (b - bs)
+
+
 def selfadjoint_parts(x: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:
     """Split x = h + i*k with h, k self-adjoint."""
-    xs = x.adjoint()
-    return 0.5 * (x + xs), complex(0, -0.5) * (x - xs)
+    parts = [_block_selfadjoint_parts(b) for b in x.blocks]
+    return (AlgebraElement(x.parent, [h for h, _ in parts]),
+            AlgebraElement(x.parent, [k for _, k in parts]))
 
 
 def adjoin_unit_element(x: AlgebraElement, lam: complex) -> AlgebraElement:

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core_algebra import (
-    AlgebraElement,
     BlockAlgebra,
     PreconditionError,
     StructuralError,
@@ -188,10 +189,9 @@ class CfAlgebra:
     def element_from_values(self, value_at) -> CoherentElement:
         """Coherent element from a function on point indices."""
 
-        def gen(p: int) -> AlgebraElement:
-            alg = self.tower.level(p)
-            return alg.diagonal(
-                [value_at(i) for i in self.space.chain[p - 1]])
+        def gen(p: int, indices: list[int]) -> list[np.ndarray]:
+            points = self.space.chain[p - 1]
+            return [np.full((1, 1), complex(value_at(points[i]))) for i in indices]
 
         return CoherentElement(self.tower, generator=gen)
 

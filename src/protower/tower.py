@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -45,11 +45,6 @@ __all__ = [
 
 UNITARY_TOL = 1e-12
 DEFAULT_COHERENCE_TOL = 1e-10
-
-
-def _identity_route(n: int) -> None:
-    """Identity conjugators are stored as None: no data, exact application."""
-    return None
 
 
 def _compose_conjugators(outer, inner):
@@ -119,18 +114,33 @@ class BlockMap:
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         if x.parent != self.source:
             raise StructuralError("element does not live in the source algebra")
-        blocks = []
-        for j, route in enumerate(self.routes):
-            n = self.target.block_sizes[j]
-            if route is None:
-                blocks.append(np.zeros((n, n), dtype=complex))
-            else:
-                s, u = route
-                if u is None:
-                    blocks.append(x.blocks[s])
-                else:
-                    blocks.append(u @ x.blocks[s] @ u.conj().T)
+        blocks = self.apply_blocks(
+            range(self.target.num_blocks),
+            lambda sources: [x.blocks[s] for s in sources])
         return AlgebraElement(self.target, blocks)
+
+    def apply_blocks(
+        self,
+        indices,
+        fetch: Callable[[list[int]], Sequence[np.ndarray]],
+    ) -> list[np.ndarray]:
+        """The target blocks at ``indices``, in order.
+
+        ``fetch(sources)`` returns the source blocks they are routed from,
+        in the order of ``sources``; it is called once, and only for the
+        routed ones.
+        """
+        routes = [self.routes[j] for j in indices]
+        fetched = iter(fetch([r[0] for r in routes if r is not None]))
+        blocks = []
+        for j, route in zip(indices, routes):
+            if route is None:
+                n = self.target.block_sizes[j]
+                blocks.append(np.zeros((n, n), dtype=complex))
+                continue
+            b, u = next(fetched), route[1]
+            blocks.append(b if u is None else u @ b @ u.conj().T)
+        return blocks
 
     def section(self, y: AlgebraElement) -> AlgebraElement:
         """A right inverse: conjugate back and fill unrouted blocks with 0."""
@@ -195,8 +205,7 @@ class ConnectingMap(BlockMap):
 
 
 def identity_map(algebra: BlockAlgebra) -> ConnectingMap:
-    routes = tuple(
-        (j, _identity_route(n)) for j, n in enumerate(algebra.block_sizes))
+    routes = tuple((j, None) for j in range(algebra.num_blocks))
     return ConnectingMap(algebra, algebra, routes)
 
 
@@ -322,8 +331,7 @@ def make_product_tower(
 
     def drop_last(k: int, prev: BlockAlgebra) -> tuple[BlockAlgebra, ConnectingMap]:
         alg = BlockAlgebra(prev.block_sizes + (rule(k),))
-        routes = tuple(
-            (j, _identity_route(n)) for j, n in enumerate(prev.block_sizes))
+        routes = tuple((j, None) for j in range(prev.num_blocks))
         return alg, ConnectingMap(alg, prev, routes)
 
     levels = [level_algebra(1)]
@@ -339,17 +347,23 @@ def make_product_tower(
 class CoherentElement:
     """A compatible family of per-level elements of a tower.
 
-    Levels come either from an explicit list or from a generator rule
-    (a pure function of the level index). Optional certificates carry
-    analytic facts that no finite truncation could establish: a uniform
-    norm bound, a spectral radius bound, self-adjointness, unitarity.
+    Levels come either from an explicit list or from a generator rule.
+    A generator is a pure function ``gen(p, indices)`` that returns the
+    blocks of level p at the given 0-based block indices, in order, and
+    builds nothing else: ``materialize(p)`` asks it for every block of
+    level p, while ``level_blocks`` asks only for the blocks a caller
+    needs, such as the blocks born at level p. Optional certificates
+    carry analytic facts that no finite truncation could establish: a
+    uniform norm bound, a spectral radius bound, self-adjointness,
+    unitarity.
     """
 
     def __init__(
         self,
         tower: Tower,
         levels=None,
-        generator: Optional[Callable[[int], AlgebraElement]] = None,
+        generator: Optional[
+            Callable[[int, list[int]], Sequence[np.ndarray]]] = None,
         coherence_tol: float = DEFAULT_COHERENCE_TOL,
         norm_bound: float | None = None,
         norm_reason: str | None = None,
@@ -386,8 +400,8 @@ class CoherentElement:
     def explicit_horizon(self) -> int | None:
         return len(self._explicit) if self._explicit is not None else None
 
-    def materialize(self, p: int, cache: bool = True) -> AlgebraElement:
-        """Level p of the family; level data beyond an explicit list errors."""
+    def _stored(self, p: int) -> AlgebraElement | None:
+        """Level p when it is explicit or already cached, else None."""
         if p < 1:
             raise PreconditionError(f"levels are 1-based, got {p}")
         if self._explicit is not None:
@@ -395,17 +409,46 @@ class CoherentElement:
                 raise TruncationError(
                     f"level {p} beyond explicit horizon {len(self._explicit)}")
             return self._explicit[p - 1]
-        got = self._cache.get(p)
-        if got is not None:
-            return got
-        x = self._generator(p)
-        if x.parent != self.tower.level(p):
+        return self._cache.get(p)
+
+    def _generate(self, p: int, indices) -> list[np.ndarray]:
+        indices = list(indices)
+        sizes = self.tower.level(p).block_sizes
+        blocks = self._generator(p, indices)
+        if len(blocks) != len(indices):
             raise StructuralError(
-                f"generator produced level {p} in the wrong algebra")
-        if cache:
+                f"generator returned {len(blocks)} blocks of level {p} for "
+                f"{len(indices)} requested")
+        out = []
+        for i, b in zip(indices, blocks):
+            b = np.asarray(b, dtype=complex)
+            if b.shape != (sizes[i], sizes[i]):
+                raise StructuralError(
+                    f"generator produced level {p} block {i} with shape "
+                    f"{b.shape}, expected ({sizes[i]}, {sizes[i]})")
+            out.append(b)
+        return out
+
+    def materialize(self, p: int) -> AlgebraElement:
+        """Level p of the family; level data beyond an explicit list errors."""
+        x = self._stored(p)
+        if x is None:
+            alg = self.tower.level(p)
+            x = AlgebraElement(alg, self._generate(p, range(alg.num_blocks)))
             with self._lock:
                 x = self._cache.setdefault(p, x)
         return x
+
+    def level_blocks(self, p: int, indices) -> Sequence[np.ndarray]:
+        """The blocks of level p at the given indices, in order.
+
+        A stored or cached level answers directly; otherwise the generator
+        builds only these blocks, and nothing is cached.
+        """
+        x = self._stored(p)
+        if x is None:
+            return self._generate(p, indices)
+        return [x.blocks[i] for i in indices]
 
     def with_certificates(self, **updates) -> CoherentElement:
         """Copy with certificate fields replaced."""
@@ -463,9 +506,14 @@ def coherent_from_top(
 def scalar_element(tower: Tower, lam: complex) -> CoherentElement:
     """The constant family lam * identity with its scalar certificates."""
     lam = complex(lam)
+
+    def gen(p: int, indices: list[int]) -> list[np.ndarray]:
+        sizes = tower.level(p).block_sizes
+        return [lam * np.eye(sizes[i], dtype=complex) for i in indices]
+
     return CoherentElement(
         tower,
-        generator=lambda p: tower.level(p).scalar(lam),
+        generator=gen,
         norm_bound=abs(lam),
         norm_reason="scalar multiple of the identity",
         spectral_bound=abs(lam),
@@ -490,9 +538,9 @@ def shift_element(tower: Tower) -> CoherentElement:
     declared (and none exists on the full matrix-product tower).
     """
 
-    def gen(p: int) -> AlgebraElement:
-        alg = tower.level(p)
-        return AlgebraElement(alg, [_superdiagonal(n) for n in alg.block_sizes])
+    def gen(p: int, indices: list[int]) -> list[np.ndarray]:
+        sizes = tower.level(p).block_sizes
+        return [_superdiagonal(sizes[i]) for i in indices]
 
     return CoherentElement(
         tower,
@@ -524,11 +572,10 @@ def diag_sequence_element(
                     f"value table has {len(_table)} entries, block {k} requested")
             return _table[k - 1]
 
-    def gen(p: int) -> AlgebraElement:
-        alg = tower.level(p)
-        if not alg.is_commutative:
+    def gen(p: int, indices: list[int]) -> list[np.ndarray]:
+        if not tower.level(p).is_commutative:
             raise PreconditionError("diag sequences need a commutative tower")
-        return alg.diagonal([value_at(k) for k in range(1, alg.num_blocks + 1)])
+        return [np.full((1, 1), complex(value_at(i + 1))) for i in indices]
 
     sa = None
     if not callable(values):
@@ -630,8 +677,10 @@ class TowerHomomorphism:
         if e.tower is not self.source:
             raise StructuralError("element does not live in the source tower")
 
-        def gen(p: int) -> AlgebraElement:
-            return self.level_map(p).apply(project(e, self.level_index(p)))
+        def gen(p: int, indices: list[int]) -> list[np.ndarray]:
+            q = self.level_index(p)
+            return self.level_map(p).apply_blocks(
+                indices, lambda sources: e.level_blocks(q, sources))
 
         return CoherentElement(
             self.target, generator=gen, coherence_tol=e.coherence_tol,
@@ -796,13 +845,12 @@ def closed_ideal(tower: Tower, block_selector) -> IdealDecomposition:
         alg = tower.level(p)
         routes: list[Optional[tuple[int, np.ndarray]]] = [None] * alg.num_blocks
         for slot, i in enumerate(ideal_pos[p - 1]):
-            routes[i] = (slot, _identity_route(alg.block_sizes[i]))
+            routes[i] = (slot, None)
         return BlockMap(ideal_tower.level(p), alg, tuple(routes))
 
     def quotient_level_map(p: int) -> BlockMap:
         alg = tower.level(p)
-        routes = tuple(
-            (i, _identity_route(alg.block_sizes[i])) for i in quot_pos[p - 1])
+        routes = tuple((i, None) for i in quot_pos[p - 1])
         return BlockMap(alg, quot_tower.level(p), routes)
 
     return IdealDecomposition(

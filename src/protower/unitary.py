@@ -75,12 +75,14 @@ def exp_selfadjoint(
     the exponential commutes with the connecting maps.
     """
 
-    def gen(p: int) -> AlgebraElement:
+    def gen(p: int, indices: list[int]) -> list[np.ndarray]:
+        # the whole level: the self-adjointness check scales with it
         x = project(a, p)
         if not is_selfadjoint(x, tol):
             raise PreconditionError(
                 f"level {p} is not self-adjoint within {tol}")
-        return apply_function(x, ExpI(t), tol)
+        y = apply_function(x, ExpI(t), tol)
+        return [y.blocks[i] for i in indices]
 
     return CoherentElement(
         a.tower,
@@ -230,11 +232,11 @@ class ExpFactorization:
         factors = self.factors
         tower = self.target.tower
 
-        def gen(p: int) -> AlgebraElement:
+        def gen(p: int, indices: list[int]) -> list[np.ndarray]:
             out = tower.level(p).identity()
             for a in factors:
                 out = out * apply_function(project(a, p), ExpI(1.0))
-            return out
+            return [out.blocks[i] for i in indices]
 
         return CoherentElement(
             tower, generator=gen, unitary=True, norm_bound=1.0,

@@ -1,18 +1,34 @@
 """Inverse systems: connecting maps, coherent families, ideals."""
 
+import math
+
 import numpy as np
 import pytest
 
+from protower.calculus import (
+    coherent_selfadjoint_parts,
+    lift_function,
+    pro_spectrum,
+    uniform_norm,
+)
 from protower.core_algebra import (
     BlockAlgebra,
+    ExpI,
     StructuralError,
     TruncationError,
+    cluster_points,
     cstar_norm,
     distance,
+    hausdorff_distance,
     one_sided_hausdorff,
     spectrum,
 )
-from protower.randomness import random_element, stream
+from protower.randomness import (
+    random_element,
+    random_selfadjoint,
+    random_unitary,
+    stream,
+)
 from protower.tower import (
     ConnectingMap,
     CoherentElement,
@@ -260,3 +276,87 @@ def test_block_map_matrix_matches_apply():
         pushed = cmap.apply(x)
         vec_pushed = np.concatenate([b.reshape(-1) for b in pushed.blocks])
         assert np.abs(m @ vec - vec_pushed).max() <= 1e-12
+
+
+def test_sweeps_ask_only_for_newborn_blocks():
+    t = make_product_tower(lambda k: k, 1)
+    calls = []
+
+    def shift_like(p, indices):
+        calls.append((p, tuple(indices)))
+        sizes = t.level(p).block_sizes
+        return [np.diag(np.arange(1.0, sizes[i]), 1) for i in indices]
+
+    e = CoherentElement(t, generator=shift_like)
+    newborn = [(p, (p - 1,)) for p in range(1, 61)]
+    assert pro_spectrum(e, 60).radius == 0.0
+    assert calls == newborn
+    calls.clear()
+    verdict = uniform_norm(e, 60, math.inf)
+    assert calls == newborn
+    assert verdict.lower_bound == pytest.approx(59.0, rel=1e-12)
+
+    calls.clear()
+    x = project(e, 60)
+    assert project(e, 60) is x
+    assert calls == [(60, tuple(range(60)))]
+
+
+def test_generator_block_shapes_are_checked():
+    t = make_product_tower(lambda k: k, 3)
+    e = CoherentElement(t, generator=lambda p, indices: [np.eye(2)] * len(indices))
+    with pytest.raises(StructuralError, match="level 3 block 0"):
+        project(e, 3)
+    short = CoherentElement(t, generator=lambda p, indices: [])
+    with pytest.raises(StructuralError, match="0 blocks of level 1"):
+        uniform_norm(short, 2)
+
+
+def twisted_chain(levels, rng):
+    """Level k holds blocks of sizes 1..k+1 in a seeded order; connecting
+    maps conjugate every surviving block by a Haar unitary."""
+    orders = [rng.permutation(k + 1) for k in range(1, levels + 1)]
+    algebras = []
+    for order in orders:
+        sizes = [0] * len(order)
+        for c, pos in enumerate(order):
+            sizes[pos] = c + 1
+        algebras.append(BlockAlgebra(tuple(sizes)))
+    maps = []
+    for k in range(1, levels):
+        lower, upper = orders[k - 1], orders[k]
+        routes = [None] * len(lower)
+        for c in range(len(lower)):
+            u = random_unitary(BlockAlgebra((c + 1,)), rng).blocks[0]
+            routes[lower[c]] = (int(upper[c]), u)
+        maps.append(ConnectingMap(algebras[k], algebras[k - 1], tuple(routes)))
+    return Tower(algebras, maps), orders
+
+
+def test_sweeps_match_full_levels_on_twisted_tower():
+    horizon = 7
+    rng = stream(28, "twisted-sweeps")
+    t, orders = twisted_chain(horizon, rng)
+    h = coherent_from_top(t, random_selfadjoint(t.level(horizon), rng), horizon)
+    x = coherent_from_top(t, random_element(t.level(horizon), rng), horizon)
+    dec = closed_ideal(t, [frozenset({int(order[0])}) for order in orders])
+    inside = coherent_from_top(
+        dec.ideal, random_element(dec.ideal.level(horizon), rng), horizon)
+    elements = [
+        lift_function(h, ExpI(1.0)),
+        *coherent_selfadjoint_parts(x),
+        dec.inclusion.apply(inside),
+    ]
+    for e in elements:
+        # sweep first, so that no level is cached yet
+        spec = pro_spectrum(e, horizon)
+        verdict = uniform_norm(e, horizon)
+        levels = [project(e, p) for p in range(1, horizon + 1)]
+        eigs = np.concatenate([spectrum(y) for y in levels])
+        union = cluster_points(eigs, 1e-8)
+        assert len(spec.points) == len(union)
+        assert hausdorff_distance(spec.points, union) <= 1e-10
+        assert abs(spec.radius - np.abs(eigs).max()) <= 1e-10
+        assert verdict.is_bounded
+        assert abs(verdict.bound - max(cstar_norm(y) for y in levels)) <= 1e-10
+        assert check_coherence(e, horizon).passed
