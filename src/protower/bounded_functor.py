@@ -2,29 +2,39 @@
 
 For a finite tower the algebra of bounded elements is the top level with
 its operator norm, so functor-level statements reduce to concrete linear
-algebra there: kernels and images are compared as subspaces through
-rank-revealing decompositions, and the rational-squash approximation
-drives kernel elements into the image, which is the mechanism behind
-exactness preservation.
+algebra there. The maps of a sequence route blocks and conjugate them by
+unitaries, so exactness is decided from the block routes alone: the kernel
+of a map is spanned by the blocks it does not route, its image by one
+conjugated copy per routed source block, and the gap between the two has a
+closed form. The rational-squash approximation then drives kernel elements
+into the image, which is the mechanism behind exactness preservation.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .calculus import lift_function, uniform_norm
+from .calculus import uniform_norm
 from .core_algebra import (
+    DEFAULT_NORMALITY_TOL,
     AlgebraElement,
     PreconditionError,
     RationalSquash,
+    _block_norm,
+    _diagonalize_normal,
+    apply_function,
     cstar_norm,
     distance,
+    is_normal,
     spectral_radius,
 )
 from .tower import (
+    BlockMap,
     CoherentElement,
     Tower,
     TowerHomomorphism,
@@ -40,6 +50,7 @@ __all__ = [
     "bounded_part",
     "apply_functor",
     "check_exactness",
+    "squash_bound",
     "quotient_iso_check",
     "kernel_quotient_check",
 ]
@@ -100,46 +111,9 @@ def apply_functor(
 # exactness
 # ---------------------------------------------------------------------------
 
-def _vec(x: AlgebraElement) -> np.ndarray:
-    return np.concatenate([b.reshape(-1) for b in x.blocks])
-
-
-def _unvec(alg, v: np.ndarray) -> AlgebraElement:
-    blocks = []
-    at = 0
-    for n in alg.block_sizes:
-        blocks.append(v[at:at + n * n].reshape(n, n))
-        at += n * n
-    return AlgebraElement(alg, blocks)
-
-
-def _orth_columns(m: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Orthonormal basis of the column space (rank revealed by SVD)."""
-    if m.size == 0:
-        return np.zeros((m.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(s > rank_tol * max(1.0, s[0] if s.size else 0.0)))
-    return u[:, :rank]
-
-
-def _null_columns(m: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Orthonormal basis of the kernel."""
-    if m.shape[0] == 0:
-        return np.eye(m.shape[1], dtype=complex)
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
-    top = s[0] if s.size else 0.0
-    rank = int(np.sum(s > rank_tol * max(1.0, top)))
-    return vh[rank:].conj().T
-
-
-def _subspace_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Spectral-norm distance of the orthogonal projectors onto a and b."""
-    pa = a @ a.conj().T
-    pb = b @ b.conj().T
-    if pa.size == 0 and pb.size == 0:
-        return 0.0
-    delta = pa - pb
-    return float(np.linalg.svd(delta, compute_uv=False)[0]) if delta.size else 0.0
+def squash_bound(n: int) -> float:
+    """Bound on the squash trace at index n: 2/n^2, plus rounding slack."""
+    return 2.0 / n**2 + 1e-9
 
 
 @dataclass
@@ -165,33 +139,119 @@ class ExactnessReport:
     traces: tuple[tuple[float, ...], ...]
     probe_norms: tuple[float, ...]
 
+    def _trace_points(self):
+        for trace in self.traces:
+            for n, value in enumerate(trace, start=1):
+                yield value, squash_bound(n)
+
     @property
-    def traces_converge(self) -> bool:
-        return all(t[-1] <= 1e-6 for t in self.traces) if self.traces else True
+    def traces_within_bound(self) -> bool:
+        """Every trace value at index n is at most ``squash_bound(n)``."""
+        return all(value <= bound for value, bound in self._trace_points())
+
+    @property
+    def squash_margin(self) -> float:
+        """Largest excess of a trace value over its bound; 0.0 if none."""
+        return max([0.0] + [value - bound for value, bound in self._trace_points()])
+
+
+def _routed_sources(m: BlockMap) -> set[int]:
+    return {route[0] for route in m.routes if route is not None}
+
+
+def _level_exactness(
+    a_map: BlockMap, b_map: BlockMap,
+) -> tuple[float, float, int, int]:
+    """Composite residual, ker/im gap, kernel and image dims at one level.
+
+    A block routing with unitary conjugators is an isometry on each source
+    block it routes, copied to every target routed from it, so the norm of
+    a composite is the square root of the most targets sharing a source.
+    ker(beta) is spanned by the mid blocks beta does not route; im(alpha)
+    is, per alpha-source, the diagonal of its m conjugated copies. Both
+    projectors split over these clusters of mid blocks: a cluster with
+    exactly one block in the kernel is off by the angle whose sine is
+    sqrt(1 - 1/m), any other cluster by 1 (its kernel part and image part
+    differ in dimension), and so is an unrouted mid block in the kernel.
+    """
+    hits = Counter(
+        route[0] for route in b_map.compose(a_map).routes if route is not None)
+    composite = math.sqrt(max(hits.values())) if hits else 0.0
+
+    sizes = b_map.source.block_sizes
+    kernel = set(range(len(sizes))) - _routed_sources(b_map)
+    clusters: dict[int, list[int]] = {}
+    gap = 0.0
+    for j, route in enumerate(a_map.routes):
+        if route is not None:
+            clusters.setdefault(route[0], []).append(j)
+        elif j in kernel:
+            gap = 1.0
+    for blocks in clusters.values():
+        inside = sum(j in kernel for j in blocks)
+        gap = max(gap, math.sqrt(1.0 - 1.0 / len(blocks)) if inside == 1 else 1.0)
+    kernel_dim = sum(sizes[j] ** 2 for j in kernel)
+    image_dim = sum(a_map.source.block_sizes[s] ** 2 for s in clusters)
+    return composite, gap, kernel_dim, image_dim
+
+
+def _preimage(m: BlockMap, y: AlgebraElement) -> AlgebraElement:
+    """The least-squares preimage of y under a block routing.
+
+    Each routed source block is the mean of the target blocks routed from
+    it, conjugated back; unrouted source blocks are 0.
+    """
+    sums = [np.zeros((n, n), dtype=complex) for n in m.source.block_sizes]
+    counts = [0] * len(sums)
+    for j, route in enumerate(m.routes):
+        if route is not None:
+            s, u = route
+            sums[s] = sums[s] + (
+                y.blocks[j] if u is None else u.conj().T @ y.blocks[j] @ u)
+            counts[s] += 1
+    return AlgebraElement(
+        m.source, [b / max(c, 1) for b, c in zip(sums, counts)])
 
 
 def _squash_image(
-    alpha: TowerHomomorphism,
-    a: CoherentElement,
-    n: int,
-    horizon: int,
+    level_map: BlockMap,
+    x: AlgebraElement,
+    indices: list[int],
+    trace_length: int,
     rational_route: bool,
-) -> CoherentElement:
-    """alpha(f_n(a)) where f_n is the rational squash of index n.
+) -> list[list[np.ndarray]]:
+    """alpha(f_n(x)) on routed target blocks ``indices``, n = 1..trace_length.
 
-    When alpha carries no topology data (declared discontinuous), f_n(a)
-    is formed as a rational expression in a, so that its image under alpha
-    is determined by alpha(a) alone; otherwise the spectral route is fine.
+    f_n is the rational squash of index n. When alpha carries no topology
+    data (declared discontinuous), f_n(x) is formed as a rational
+    expression in x, so that its image under alpha is determined by
+    alpha(x) alone. Otherwise a normal x is diagonalized once and f_n is
+    evaluated on its eigenvalues; a non-normal x goes through the
+    functional calculus for each n. Only the source blocks routed to
+    ``indices`` are touched.
     """
-    f = RationalSquash(n)
-    if rational_route:
-        def gen(p: int, indices: list[int]) -> list[np.ndarray]:
-            return [f.apply_matrix(b) for b in a.level_blocks(p, indices)]
-
-        squashed = CoherentElement(a.tower, generator=gen)
+    tol = DEFAULT_NORMALITY_TOL
+    squashes = [RationalSquash(n) for n in range(1, trace_length + 1)]
+    sources = sorted({level_map.routes[j][0] for j in indices})
+    if not rational_route and not is_normal(x, tol):
+        per_n = [apply_function(x, f, tol).blocks for f in squashes]
+    elif not indices:
+        return [[] for _ in squashes]
+    elif rational_route:
+        per_n = [
+            {s: f.apply_matrix(x.blocks[s]) for s in sources} for f in squashes]
     else:
-        squashed = lift_function(a, f)
-    return alpha.apply(squashed)
+        eigen = {s: _diagonalize_normal(x.blocks[s], tol, s) for s in sources}
+        points = np.concatenate([d for _, d in eigen.values()])
+        per_n = []
+        for f in squashes:
+            f.check_domain(points, tol)
+            per_n.append({
+                s: v @ np.diag(np.asarray(f(d), dtype=complex)) @ v.conj().T
+                for s, (v, d) in eigen.items()})
+    return [
+        level_map.apply_blocks(indices, lambda wanted: [blocks[s] for s in wanted])
+        for blocks in per_n]
 
 
 def check_exactness(
@@ -205,46 +265,60 @@ def check_exactness(
 ) -> ExactnessReport:
     """Verify ker(beta) = im(alpha) levelwise and replay the squash trace.
 
-    Requires beta o alpha = 0 within tol. For each probe a random
+    Requires beta o alpha = 0 within tol. Kernels, images and their gaps
+    come from the block routes of the level maps. For each probe a random
     self-adjoint element of the top-level kernel with spectral radius at
     most 1 is pushed down the chain, a self-adjoint preimage under alpha
     is computed, and the uniform distance of alpha(squash_n(preimage))
-    back to the element is recorded for n = 1..trace_length.
+    back to the element is recorded for n = 1..trace_length, measured on
+    the blocks born at each level.
     """
     if alpha.target is not beta.source:
         raise PreconditionError("the two maps do not form a sequence")
-    mats_a = [alpha.level_map(p).matrix() for p in range(1, horizon + 1)]
-    mats_b = [beta.level_map(p).matrix() for p in range(1, horizon + 1)]
-    composite = max(
-        float(np.linalg.norm(mb @ ma, 2)) for ma, mb in zip(mats_a, mats_b))
+    maps_a = [alpha.level_map(p) for p in range(1, horizon + 1)]
+    maps_b = [beta.level_map(p) for p in range(1, horizon + 1)]
+    levels = [_level_exactness(ma, mb) for ma, mb in zip(maps_a, maps_b)]
+    composite = max(level[0] for level in levels)
     if composite > tol:
         raise PreconditionError(
             f"beta o alpha is not zero: residual {composite:.3e}")
 
-    level_residuals = []
-    kernel_dims = []
-    image_dims = []
-    for ma, mb in zip(mats_a, mats_b):
-        null_b = _null_columns(mb, RANK_TOL)
-        image_a = _orth_columns(ma, RANK_TOL)
-        kernel_dims.append(null_b.shape[1])
-        image_dims.append(image_a.shape[1])
-        level_residuals.append(_subspace_gap(null_b, image_a))
+    level_residuals = [level[1] for level in levels]
+    kernel_dims = [level[2] for level in levels]
+    image_dims = [level[3] for level in levels]
     verdict_original = all(r <= tol for r in level_residuals)
     bounded_residual = level_residuals[-1]
     verdict_bounded = bounded_residual <= tol
 
     mid = beta.source
     top_alg = mid.level(horizon)
-    null_top = _null_columns(mats_b[-1], RANK_TOL)
-    pinv_a = np.linalg.pinv(mats_a[-1], rcond=RANK_TOL)
+    top_kernel = set(range(top_alg.num_blocks)) - _routed_sources(maps_b[-1])
+    # The trace reads only the mid blocks born at each level that alpha
+    # routes: b and alpha(f_n(a)) are coherent, so an older block repeats a
+    # distance already measured, and where alpha sends 0, b is 0 as well
+    # (by naturality b_p lies in ker(beta_p), which equals im(alpha_p)).
+    routed_newborn = []
+    for p, ma in enumerate(maps_a, start=1):
+        inherited = _routed_sources(mid.map(p - 1)) if p > 1 else set()
+        routed_newborn.append([
+            j for j, route in enumerate(ma.routes)
+            if route is not None and j not in inherited])
+    src_level = alpha.level_index(horizon)
 
     traces = []
     probe_norms = []
     for _ in range(probes if verdict_original else 0):
-        coeff = rng.standard_normal(null_top.shape[1]) + 1j * rng.standard_normal(
-            null_top.shape[1])
-        raw = _unvec(top_alg, null_top @ coeff)
+        coeff = rng.standard_normal(kernel_dims[-1]) + 1j * rng.standard_normal(
+            kernel_dims[-1])
+        blocks = []
+        at = 0
+        for i, n in enumerate(top_alg.block_sizes):
+            if i in top_kernel:
+                blocks.append(coeff[at:at + n * n].reshape(n, n))
+                at += n * n
+            else:
+                blocks.append(np.zeros((n, n), dtype=complex))
+        raw = AlgebraElement(top_alg, blocks)
         herm = 0.5 * (raw + raw.adjoint())
         r = spectral_radius(herm)
         if r <= RANK_TOL:
@@ -252,21 +326,22 @@ def check_exactness(
         herm = (rng.uniform(0.5, 1.0) / r) * herm
         b = coherent_from_top(mid, herm, horizon, selfadjoint=True)
 
-        src_level = alpha.level_index(horizon)
-        a_vec = pinv_a @ _vec(herm)
-        a_raw = _unvec(alpha.source.level(src_level), a_vec)
+        a_raw = _preimage(maps_a[-1], herm)
         a_top = 0.5 * (a_raw + a_raw.adjoint())
-        if distance(alpha.level_map(horizon).apply(a_top), herm) > 10 * tol:
+        if distance(maps_a[-1].apply(a_top), herm) > 10 * tol:
             raise PreconditionError(
                 "no self-adjoint preimage found although the sequence is exact")
         a = coherent_from_top(alpha.source, a_top, src_level, selfadjoint=True)
 
-        trace = []
-        for n in range(1, trace_length + 1):
-            image = _squash_image(alpha, a, n, horizon, not alpha.continuous)
-            trace.append(max(
-                distance(project(image, p), project(b, p))
-                for p in range(1, horizon + 1)))
+        trace = [0.0] * trace_length
+        for p, fresh in enumerate(routed_newborn, start=1):
+            images = _squash_image(
+                maps_a[p - 1], project(a, alpha.level_index(p)), fresh,
+                trace_length, not alpha.continuous)
+            targets = b.level_blocks(p, fresh)
+            for k, image in enumerate(images):
+                trace[k] = max([trace[k]] + [
+                    _block_norm(x - y) for x, y in zip(image, targets)])
         traces.append(tuple(trace))
         probe_norms.append(spectral_radius(herm))
 

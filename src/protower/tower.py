@@ -721,7 +721,7 @@ class TowerHomomorphism:
         return worst
 
 
-def identity_homomorphism(tower: Tower, up_to: int) -> TowerHomomorphism:
+def identity_homomorphism(tower: Tower) -> TowerHomomorphism:
     return TowerHomomorphism(
         tower, tower, lambda p: identity_map(tower.level(p)))
 
@@ -793,7 +793,7 @@ def closed_ideal(tower: Tower, block_selector) -> IdealDecomposition:
             ideal=None,
             quotient=tower,
             inclusion=None,
-            quotient_map=identity_homomorphism(tower, horizon),
+            quotient_map=identity_homomorphism(tower),
         )
     if all(
         len(sel) == tower.level(p).num_blocks
@@ -804,7 +804,7 @@ def closed_ideal(tower: Tower, block_selector) -> IdealDecomposition:
             selectors=tuple(selectors),
             ideal=tower,
             quotient=None,
-            inclusion=identity_homomorphism(tower, horizon),
+            inclusion=identity_homomorphism(tower),
             quotient_map=None,
         )
     for p, sel in enumerate(selectors, start=1):

@@ -67,10 +67,7 @@ def test_criterion_2_exactness_mechanics(spec):
         tol=1e-10, rng=stream(SEED, "acceptance-exactness"), trace_length=50)
 
     verdicts_ok = report.verdict_original and report.verdict_bounded
-    traces_ok = len(report.traces) == 20 and all(
-        value <= 2.0 / n**2 + 1e-9
-        for trace in report.traces
-        for n, value in enumerate(trace, start=1))
+    traces_ok = len(report.traces) == 20 and report.traces_within_bound
     radius_ok = all(r <= 1.0 + 1e-12 for r in report.probe_norms)
 
     elapsed = time.perf_counter() - start

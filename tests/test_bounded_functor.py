@@ -1,24 +1,43 @@
 """Coreflector mechanics: bounded parts, induced maps, exactness."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+import protower.bounded_functor as bounded_functor
 from protower.bounded_functor import (
+    ExactnessReport,
+    _preimage,
     apply_functor,
     bounded_part,
     check_exactness,
     kernel_quotient_check,
     quotient_iso_check,
+    squash_bound,
 )
 from protower.calculus import lift_function, seminorm, uniform_norm
+from protower.cli import bundled_spec_path
 from protower.core_algebra import (
+    AlgebraElement,
+    BlockAlgebra,
     ExpI,
     PreconditionError,
+    RationalSquash,
     cstar_norm,
     distance,
 )
-from protower.randomness import random_element, random_selfadjoint, stream
+from protower.randomness import (
+    random_element,
+    random_selfadjoint,
+    random_unitary,
+    stream,
+)
+from protower.specfile import load_specfile
 from protower.tower import (
     BlockMap,
+    CoherentElement,
+    ConnectingMap,
     Tower,
     TowerHomomorphism,
     closed_ideal,
@@ -67,7 +86,7 @@ def test_apply_functor_identity():
     t = make_product_tower(lambda k: k, 4, lazy=False)
     rng = stream(52, "functor-id")
     e = coherent_from_top(t, random_element(t.level(4), rng), 4)
-    phi = identity_homomorphism(t, 4)
+    phi = identity_homomorphism(t)
     image = apply_functor(phi, e, horizon=4)
     for p in range(1, 5):
         assert distance(project(image, p), project(e, p)) <= 1e-13
@@ -93,7 +112,7 @@ def test_apply_functor_rejects_unknown_verdict():
     from protower.tower import identity_homomorphism
 
     with pytest.raises(PreconditionError):
-        apply_functor(identity_homomorphism(t, 4), e, horizon=4)
+        apply_functor(identity_homomorphism(t), e, horizon=4)
 
 
 def test_functor_contractive_and_functorial():
@@ -131,18 +150,30 @@ def test_check_exactness_on_ideal_sequence():
     assert report.verdict_original
     assert report.verdict_bounded
     assert max(report.level_residuals) <= 1e-10
+    assert report.traces_within_bound and report.squash_margin == 0.0
     for trace in report.traces:
-        for n, value in enumerate(trace, start=1):
-            assert value <= 2.0 / n**2 + 1e-9
         # O(1/n^2) decay: the tail is much smaller than the head
         assert trace[-1] <= trace[0] / 100 + 1e-12
+
+
+def test_squash_bound_rule_and_margin():
+    report = ExactnessReport(
+        horizon=1, composite_residual=0.0, level_residuals=(0.0,),
+        kernel_dims=(1,), image_dims=(1,), verdict_original=True,
+        bounded_residual=0.0, verdict_bounded=True,
+        traces=((1.0, 0.5), (2.0, squash_bound(2))), probe_norms=(1.0, 1.0))
+    assert report.traces_within_bound
+    assert report.squash_margin == 0.0
+    worse = dataclasses.replace(report, traces=((1.0, 0.6),))
+    assert not worse.traces_within_bound
+    assert worse.squash_margin == pytest.approx(0.1 - 1e-9)
 
 
 def test_check_exactness_identity_zero_sequence():
     from protower.tower import identity_homomorphism
 
     t = shifted_chain(3)
-    alpha = identity_homomorphism(t, 3)
+    alpha = identity_homomorphism(t)
     zero_maps = [
         BlockMap(t.level(p), t.level(p), tuple([None] * t.level(p).num_blocks))
         for p in range(1, 4)]
@@ -151,15 +182,15 @@ def test_check_exactness_identity_zero_sequence():
     report = check_exactness(alpha, beta, probes=5, horizon=3, tol=1e-10, rng=rng)
     assert report.verdict_original and report.verdict_bounded
     for trace in report.traces:
-        assert trace[-1] <= 2.0 / 50**2 + 1e-9  # recovered at rate 1/n^2
+        assert trace[-1] <= squash_bound(50)  # recovered at rate 1/n^2
 
 
 def test_check_exactness_rejects_nonzero_composite():
     from protower.tower import identity_homomorphism
 
     t = shifted_chain(3)
-    alpha = identity_homomorphism(t, 3)
-    beta = identity_homomorphism(t, 3)
+    alpha = identity_homomorphism(t)
+    beta = identity_homomorphism(t)
     with pytest.raises(PreconditionError):
         check_exactness(alpha, beta, probes=1, horizon=3, tol=1e-10,
                         rng=stream(57, "bad"))
@@ -196,9 +227,7 @@ def test_discontinuous_alpha_uses_rational_route():
     report = check_exactness(
         alpha, dec.quotient_map, probes=4, horizon=4, tol=1e-10, rng=rng)
     assert report.verdict_original
-    for trace in report.traces:
-        for n, value in enumerate(trace, start=1):
-            assert value <= 2.0 / n**2 + 1e-9
+    assert report.traces_within_bound
 
 
 def test_quotient_iso_check_block_ideal():
@@ -279,3 +308,213 @@ def test_intersection_law_for_block_subtower():
         vo = uniform_norm(outer, horizon=4)
         assert vi.is_bounded and vo.is_bounded
         assert abs(vi.bound - vo.bound) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# dense oracle: exactness decided by rank-revealing SVDs of the level maps
+# ---------------------------------------------------------------------------
+
+RANK_TOL = 1e-10
+
+
+def _vec(x):
+    return np.concatenate([b.reshape(-1) for b in x.blocks])
+
+
+def _unvec(alg, v):
+    blocks = []
+    at = 0
+    for n in alg.block_sizes:
+        blocks.append(v[at:at + n * n].reshape(n, n))
+        at += n * n
+    return AlgebraElement(alg, blocks)
+
+
+def _orth_columns(m, rank_tol=RANK_TOL):
+    """Orthonormal basis of the column space (rank revealed by SVD)."""
+    if m.size == 0:
+        return np.zeros((m.shape[0], 0), dtype=complex)
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    rank = int(np.sum(s > rank_tol * max(1.0, s[0] if s.size else 0.0)))
+    return u[:, :rank]
+
+
+def _null_columns(m, rank_tol=RANK_TOL):
+    """Orthonormal basis of the kernel."""
+    if m.shape[0] == 0:
+        return np.eye(m.shape[1], dtype=complex)
+    u, s, vh = np.linalg.svd(m, full_matrices=True)
+    top = s[0] if s.size else 0.0
+    rank = int(np.sum(s > rank_tol * max(1.0, top)))
+    return vh[rank:].conj().T
+
+
+def _subspace_gap(a, b):
+    """Spectral-norm distance of the orthogonal projectors onto a and b."""
+    pa = a @ a.conj().T
+    pb = b @ b.conj().T
+    if pa.size == 0 and pb.size == 0:
+        return 0.0
+    delta = pa - pb
+    return float(np.linalg.svd(delta, compute_uv=False)[0]) if delta.size else 0.0
+
+
+def dense_level(a_map, b_map):
+    """(composite residual, ker/im gap, kernel dim, image dim) at one level."""
+    ma, mb = a_map.matrix(), b_map.matrix()
+    null_b, image_a = _null_columns(mb), _orth_columns(ma)
+    return (float(np.linalg.norm(mb @ ma, 2)), _subspace_gap(null_b, image_a),
+            null_b.shape[1], image_a.shape[1])
+
+
+def assert_matches_dense(report, alpha, beta):
+    dense = [
+        dense_level(alpha.level_map(p), beta.level_map(p))
+        for p in range(1, report.horizon + 1)]
+    assert report.kernel_dims == tuple(d[2] for d in dense)
+    assert report.image_dims == tuple(d[3] for d in dense)
+    assert abs(report.composite_residual - max(d[0] for d in dense)) <= 1e-12
+    for got, d in zip(report.level_residuals, dense):
+        assert abs(got - d[1]) <= 1e-12
+
+
+def haar(n, rng):
+    return random_unitary(BlockAlgebra((n,)), rng).blocks[0]
+
+
+def twisted_ideal(levels, seed):
+    """A tower whose level k holds blocks of sizes 1..k+2 in a seeded order,
+    with Haar conjugators on every connecting route, split by closed_ideal
+    along the blocks of size 1 or even size, so that the ideal gains a
+    block at every other level."""
+    rng = stream(seed, "twisted-ideal")
+    orders = [rng.permutation(k + 2) for k in range(1, levels + 1)]
+    algebras = []
+    for order in orders:
+        sizes = [0] * len(order)
+        for c, pos in enumerate(order):
+            sizes[pos] = c + 1
+        algebras.append(BlockAlgebra(tuple(sizes)))
+    maps = []
+    for k in range(1, levels):
+        lower, upper = orders[k - 1], orders[k]
+        routes = [None] * len(lower)
+        for c in range(len(lower)):
+            routes[lower[c]] = (int(upper[c]), haar(c + 1, rng))
+        maps.append(ConnectingMap(algebras[k], algebras[k - 1], tuple(routes)))
+    tower = Tower(algebras, maps)
+    return closed_ideal(tower, [
+        frozenset(int(o[c]) for c in range(len(o)) if c == 0 or c % 2)
+        for o in orders])
+
+
+def wide_product_ideal():
+    tower = load_specfile(bundled_spec_path()).tower("wide-product")
+    return closed_ideal(tower, [frozenset({0})] * tower.horizon)
+
+
+def test_route_exactness_matches_dense_on_ideals():
+    for dec, horizon in ((wide_product_ideal(), 5), (twisted_ideal(8, 71), 8)):
+        report = check_exactness(
+            dec.inclusion, dec.quotient_map, probes=0, horizon=horizon,
+            tol=1e-10, rng=stream(72, "route-vs-dense"))
+        assert report.verdict_original and report.verdict_bounded
+        assert_matches_dense(report, dec.inclusion, dec.quotient_map)
+
+
+def random_route(sizes_from, n, rng, p_none):
+    """A route into a block of size n from a same-size source, or None."""
+    candidates = [s for s, m in enumerate(sizes_from) if m == n]
+    if not candidates or rng.random() < p_none:
+        return None
+    return (int(rng.choice(candidates)), haar(n, rng))
+
+
+def test_route_exactness_matches_dense_on_random_block_maps():
+    # alpha routes mid blocks from few source blocks, so clusters of
+    # several copies share a source; beta routes only part of the mid
+    # blocks. Single-level towers let check_exactness take these pairs,
+    # and a tol above any composite residual lets it report them.
+    rng = stream(73, "random-block-maps")
+    partial_clusters = 0
+    for _ in range(240):
+        mid = BlockAlgebra(tuple(
+            int(n) for n in rng.integers(1, 4, rng.integers(2, 7))))
+        src = BlockAlgebra(tuple(int(n) for n in rng.choice(
+            mid.block_sizes, rng.integers(1, 4))))
+        quo = BlockAlgebra(tuple(int(n) for n in rng.choice(
+            mid.block_sizes, rng.integers(1, 4))))
+        a_map = BlockMap(src, mid, tuple(
+            random_route(src.block_sizes, n, rng, 0.15) for n in mid.block_sizes))
+        b_map = BlockMap(mid, quo, tuple(
+            random_route(mid.block_sizes, n, rng, 0.3) for n in quo.block_sizes))
+        alpha = TowerHomomorphism(Tower([src], []), Tower([mid], []), [a_map])
+        beta = TowerHomomorphism(alpha.target, Tower([quo], []), [b_map])
+        report = check_exactness(
+            alpha, beta, probes=0, horizon=1, tol=10.0, rng=rng)
+        assert_matches_dense(report, alpha, beta)
+        partial_clusters += 0.0 < report.level_residuals[0] < 1.0 - 1e-12
+
+        # the structural preimage is the pseudo-inverse of alpha's matrix
+        y = random_element(mid, rng)
+        dense = _unvec(src, np.linalg.pinv(a_map.matrix(), rcond=RANK_TOL) @ _vec(y))
+        assert distance(_preimage(a_map, y), dense) <= 1e-12
+    assert partial_clusters >= 10  # the sqrt(1 - 1/m) case is exercised
+
+
+# ---------------------------------------------------------------------------
+# squash trace: newborn blocks against every block of every level
+# ---------------------------------------------------------------------------
+
+def all_levels_trace(alpha, a, b, horizon, trace_length):
+    """The squash trace measured on every level, as alpha(f_n(a)) - b."""
+    trace = []
+    for n in range(1, trace_length + 1):
+        f = RationalSquash(n)
+        if alpha.continuous:
+            squashed = lift_function(a, f)
+        else:
+            squashed = CoherentElement(a.tower, generator=lambda p, idx, f=f: [
+                f.apply_matrix(x) for x in a.level_blocks(p, idx)])
+        image = alpha.apply(squashed)
+        trace.append(max(
+            distance(project(image, p), project(b, p))
+            for p in range(1, horizon + 1)))
+    return tuple(trace)
+
+
+def replayed_traces(monkeypatch, alpha, beta, horizon, seed):
+    """check_exactness's traces, and the all-levels traces of its probes."""
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(coherent_from_top(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(bounded_functor, "coherent_from_top", recording)
+    report = check_exactness(
+        alpha, beta, probes=3, horizon=horizon, tol=1e-10,
+        rng=stream(seed, "trace-equivalence"))
+    assert len(report.traces) == 3
+    # each probe builds its kernel element b, then its preimage a
+    replayed = tuple(
+        all_levels_trace(alpha, a, b, horizon, 50)
+        for b, a in zip(built[::2], built[1::2]))
+    return report.traces, replayed
+
+
+def test_newborn_trace_equals_all_levels_on_identity_routes(monkeypatch):
+    dec = wide_product_ideal()
+    new, old = replayed_traces(
+        monkeypatch, dec.inclusion, dec.quotient_map, 5, 74)
+    assert new == old
+
+
+@pytest.mark.parametrize("continuous", [True, False])
+def test_newborn_trace_matches_all_levels_on_twisted_tower(monkeypatch, continuous):
+    dec = twisted_ideal(6, 75)
+    alpha = TowerHomomorphism(
+        dec.ideal, dec.tower, dec.inclusion.level_map, continuous=continuous)
+    new, old = replayed_traces(monkeypatch, alpha, dec.quotient_map, 6, 76)
+    for got, want in zip(new, old):
+        assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-12

@@ -249,7 +249,7 @@ def test_pushforward_exp():
         [base.map(p) for p in range(2, 6)],
     )
     dec = closed_ideal(t, [frozenset({0})] * 5)
-    ident = identity_homomorphism(t, 5)
+    ident = identity_homomorphism(t)
     rng = stream(91, "pushforward")
     for _ in range(10):
         u = coherent_from_top(t, random_unitary(t.level(5), rng), 5,
