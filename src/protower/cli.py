@@ -105,7 +105,7 @@ def _cmd_bounded(spec, cfg, report):
 
 def _cmd_spectrum(spec, cfg, report):
     e = spec.element(_need(cfg, "element"))
-    rep = pro_spectrum(e, int(cfg["horizon"]), float(cfg["tol"]))
+    rep = pro_spectrum(e, int(cfg["horizon"]), float(cfg["cluster_tol"]))
     report.add(
         "pro-spectrum", "spectrum", True,
         points=list(rep.points), radius=rep.radius, horizon=rep.horizon)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "AlgebraError",
@@ -228,13 +227,33 @@ def cstar_norm(x: AlgebraElement) -> float:
     return max(_block_norm(b) for b in x.blocks)
 
 
+def _is_triangular(b: np.ndarray) -> bool:
+    """Whether a block of size >= 2 is exactly upper or lower triangular.
+
+    Reads the block once, through a float view of its real and imaginary
+    parts, instead of copying a triangle of it: the first (last) nonzero
+    column of every nonempty row must lie on or right (left) of the
+    diagonal.
+    """
+    if b[1, 0] != 0 and b[0, 1] != 0:
+        return False
+    n = b.shape[0]
+    nonzero = np.ascontiguousarray(b, dtype=complex).view(np.float64) != 0
+    rows = np.arange(n)
+    empty = ~nonzero.any(axis=1)
+    if np.all(empty | (nonzero.argmax(axis=1) // 2 >= rows)):
+        return True
+    last = n - 1 - nonzero[:, ::-1].argmax(axis=1) // 2
+    return bool(np.all(empty | (last <= rows)))
+
+
 def _block_eigenvalues(b: np.ndarray, block_index: int) -> np.ndarray:
     n = b.shape[0]
     if n == 1:
         return b.reshape(1).copy()
     # Exactly triangular blocks carry their eigenvalues on the diagonal;
     # reading them off avoids eigensolver noise on nilpotent input.
-    if not np.tril(b, -1).any() or not np.triu(b, 1).any():
+    if _is_triangular(b):
         return np.diag(b).copy()
     try:
         return np.linalg.eigvals(b)
@@ -641,6 +660,10 @@ def _diagonalize_normal(block: np.ndarray, tol: float, block_index: int):
             raise EigensolverError(
                 f"Hermitian eigensolver failed on block {block_index}: {exc}")
         return v, w.astype(complex)
+    # scipy is imported here, not at module level: loading it costs more
+    # than the rest of the package, and only this branch needs it.
+    import scipy.linalg
+
     try:
         t, z = scipy.linalg.schur(block, output="complex")
     except (scipy.linalg.LinAlgError, ValueError) as exc:

@@ -77,6 +77,9 @@ class BlockMap:
             raise StructuralError(
                 f"{len(self.routes)} routes for {self.target.num_blocks} "
                 "target blocks")
+        num_sources = self.source.num_blocks
+        source_sizes = self.source.block_sizes
+        target_sizes = self.target.block_sizes
         frozen = []
         for j, route in enumerate(self.routes):
             if route is None:
@@ -84,11 +87,11 @@ class BlockMap:
                 continue
             s, u = route
             s = int(s)
-            if not 0 <= s < self.source.num_blocks:
+            if not 0 <= s < num_sources:
                 raise StructuralError(
                     f"route {j} points at missing source block {s}")
-            n_t = self.target.block_sizes[j]
-            n_s = self.source.block_sizes[s]
+            n_t = target_sizes[j]
+            n_s = source_sizes[s]
             if n_t != n_s:
                 raise StructuralError(
                     f"route {j}: target size {n_t} != source size {n_s}")

@@ -149,6 +149,21 @@ def test_main_subprocess_roundtrip(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_spectrum_clusters_with_cluster_tol(spec):
+    # ramp's five eigenvalues lie 1/30 to 1/6 apart: a cluster_tol of 0.5
+    # chains them into one point, one of 1e-12 keeps them apart, and tol
+    # (set to the opposite extreme each time) must not matter.
+    merged = run(
+        "spectrum", spec, {"element": "ramp", "horizon": 5,
+                           "tol": 1e-12, "cluster_tol": 0.5})
+    apart = run(
+        "spectrum", spec, {"element": "ramp", "horizon": 5,
+                           "tol": 0.5, "cluster_tol": 1e-12})
+    assert merged.config["cluster_tol"] == 0.5
+    assert len(merged.records[0].details["points"]) == 1
+    assert len(apart.records[0].details["points"]) == 5
+
+
 def test_funcalc_poly_flag(spec):
     report = run(
         "funcalc", spec,

@@ -20,6 +20,8 @@ from protower.core_algebra import (
     RationalSquash,
     StructuralError,
     Tabulated,
+    _block_eigenvalues,
+    _is_triangular,
     adjoin_unit_element,
     apply_function,
     cstar_norm,
@@ -94,6 +96,32 @@ def test_spectrum_identity_and_nilpotent():
         ln = alg.element([np.diag(np.arange(1.0, n), 1)])
         pts = spectrum(ln)
         assert len(pts) == 1 and abs(pts[0]) == 0.0
+
+
+def test_triangular_shortcut_matches_dense_predicate():
+    # _is_triangular must agree with the copying tril/triu test on every
+    # sparsity pattern, layout and kind of zero, so the exact-diagonal
+    # shortcut fires on exactly the same blocks.
+    rng = np.random.default_rng(2005)
+    fills = (1.0, 1j, -2.5 + 0.5j, -0.0, np.nan)
+    for n in range(2, 9):
+        for _ in range(60):
+            b = np.zeros((n, n), dtype=complex)
+            keep = rng.random((n, n)) < rng.choice([0.05, 0.3, 0.9])
+            shape = rng.integers(3)
+            if shape == 1:
+                keep = np.triu(keep)
+            elif shape == 2:
+                keep = np.tril(keep)
+            b[keep] = rng.choice(fills, size=int(keep.sum()))
+            for block in (b, b.T, b[::-1, ::-1], b.real.copy()):
+                dense = (not np.tril(block, -1).any()
+                         or not np.triu(block, 1).any())
+                assert _is_triangular(block) == dense, block
+                if dense:
+                    assert np.array_equal(
+                        _block_eigenvalues(block, 0), np.diag(block),
+                        equal_nan=True)
 
 
 def test_spectrum_of_shift_product():
