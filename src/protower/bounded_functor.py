@@ -145,9 +145,15 @@ class ExactnessReport:
                 yield value, squash_bound(n)
 
     @property
+    def exact(self) -> bool:
+        """Exact levelwise and after the bounded-part functor."""
+        return self.verdict_original and self.verdict_bounded
+
+    @property
     def traces_within_bound(self) -> bool:
-        """Every trace value at index n is at most ``squash_bound(n)``."""
-        return all(value <= bound for value, bound in self._trace_points())
+        """At least one trace; each value at index n is at most ``squash_bound(n)``."""
+        return bool(self.traces) and all(
+            value <= bound for value, bound in self._trace_points())
 
     @property
     def squash_margin(self) -> float:

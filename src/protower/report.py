@@ -71,11 +71,6 @@ class RunReport:
     config: dict
     records: list[CheckRecord] = field(default_factory=list)
 
-    def add(self, name: str, ref: str, passed: bool, **details) -> CheckRecord:
-        record = CheckRecord(name, ref, bool(passed), details)
-        self.records.append(record)
-        return record
-
     @property
     def all_passed(self) -> bool:
         return all(r.passed for r in self.records)

@@ -1,24 +1,33 @@
-"""Bundled verification suites: worked examples and invariant sweeps.
+"""The check registry: every command's checks and the bundled suites.
 
-Each function returns check records for the report stream. The same
-functions back the command line's `paper-examples` and `selftest`
-commands and the acceptance test module, so the pass/fail logic lives in
-exactly one place.
+``CHECKS`` maps each command name, in the order the command line lists
+them, to a function ``(spec, cfg) -> list[CheckRecord]``; ``cfg`` is the
+resolved configuration. ``paper-examples`` and ``selftest`` run the suites
+below, which also back the acceptance tests. A rule that decides a report's
+pass is a property of that report type, so the command line, the suites and
+the tests judge each check the same way.
 """
 
 from __future__ import annotations
+
+from dataclasses import asdict
 
 import numpy as np
 
 from .bounded_functor import check_exactness, kernel_quotient_check, quotient_iso_check
 from .calculus import (
     is_spectrally_bounded,
+    lift_function,
     pro_spectrum,
     seminorm,
     uniform_norm,
 )
 from .core_algebra import (
+    ExpI,
     Polynomial,
+    PrincipalArg,
+    RationalSquash,
+    StructuralError,
     cstar_norm,
     hausdorff_distance,
     one_sided_hausdorff,
@@ -36,12 +45,14 @@ from .randomness import (
 from .report import CheckRecord
 from .tower import closed_ideal, coherent_from_top, make_product_tower, project
 from .unitary import (
+    _unitary_log,
     identity_component_check,
     largest_gap_branch,
     single_level_log,
 )
 
 __all__ = [
+    "CHECKS",
     "shift_example_records",
     "exactness_records",
     "quotient_records",
@@ -51,6 +62,179 @@ __all__ = [
     "paper_example_records",
     "selftest_records",
 ]
+
+
+def _need(cfg: dict, key: str):
+    value = cfg.get(key)
+    if value is None:
+        raise StructuralError(
+            f"command {cfg['command']!r} needs {key!r} (flag or run directive)")
+    return value
+
+
+def _constant_selector(tower, blocks, horizon):
+    blocks = [int(b) for b in blocks]
+    return [
+        frozenset(b for b in blocks if 0 <= b < tower.level(p).num_blocks)
+        for p in range(1, horizon + 1)]
+
+
+def _make_function(cfg):
+    kind = _need(cfg, "function")
+    if kind == "squash":
+        return RationalSquash(int(cfg.get("index", 1)))
+    if kind == "expi":
+        return ExpI(float(cfg.get("t", 1.0)))
+    if kind == "arg":
+        return PrincipalArg(float(cfg["branch"]))
+    if kind == "poly":
+        coeffs = cfg.get("coeffs")
+        if coeffs is None:
+            raise StructuralError("funcalc with 'poly' needs --coeffs")
+        if isinstance(coeffs, str):
+            coeffs = [float(c) for c in coeffs.split(",")]
+        return Polynomial.in_z(coeffs)
+    raise StructuralError(f"unknown function kind {kind!r}")
+
+
+def _error_record(command: str, exc: Exception) -> CheckRecord:
+    """The failed record of a command whose check raised ``exc``."""
+    return CheckRecord(
+        f"{command}-error", command, False,
+        {"error": str(exc), "error_type": type(exc).__name__})
+
+
+def _check_norm(spec, cfg) -> list[CheckRecord]:
+    e = spec.element(_need(cfg, "element"))
+    v = uniform_norm(e, int(cfg["horizon"]), float(cfg["threshold"]))
+    return [CheckRecord("uniform-norm", "norm", True, asdict(v))]
+
+
+def _check_spectrum(spec, cfg) -> list[CheckRecord]:
+    e = spec.element(_need(cfg, "element"))
+    rep = pro_spectrum(e, int(cfg["horizon"]), float(cfg["cluster_tol"]))
+    return [CheckRecord(
+        "pro-spectrum", "spectrum", True,
+        {"points": list(rep.points), "radius": rep.radius,
+         "horizon": rep.horizon})]
+
+
+def _check_bounded(spec, cfg) -> list[CheckRecord]:
+    e = spec.element(_need(cfg, "element"))
+    v = uniform_norm(e, int(cfg["horizon"]), float(cfg["threshold"]))
+    # bounded_part admits the element exactly when this verdict is bounded
+    return [CheckRecord(
+        "bounded-part", "bounded", True,
+        {"member": v.is_bounded, **asdict(v)})]
+
+
+def _check_funcalc(spec, cfg) -> list[CheckRecord]:
+    e = spec.element(_need(cfg, "element"))
+    f = _make_function(cfg)
+    horizon = int(cfg["horizon"])
+    lifted = lift_function(e, f)
+    norms = [seminorm(lifted, p) for p in range(1, lifted.max_level(horizon) + 1)]
+    rep = pro_spectrum(lifted, horizon, float(cfg["cluster_tol"]))
+    return [CheckRecord(
+        "functional-calculus", "funcalc", True,
+        {"function": type(f).__name__, "level_norms": norms,
+         "spectrum": list(rep.points), "radius": rep.radius})]
+
+
+def _check_exact(spec, cfg) -> list[CheckRecord]:
+    tower = spec.tower(_need(cfg, "tower"))
+    horizon = min(int(cfg["horizon"]), tower.horizon)
+    finite = tower.finite_prefix(horizon)
+    dec = closed_ideal(finite, _constant_selector(
+        finite, _need(cfg, "blocks"), horizon))
+    rep = check_exactness(
+        dec.inclusion, dec.quotient_map, probes=int(cfg["probes"]),
+        horizon=horizon, tol=float(cfg["tol"]),
+        rng=stream(int(cfg["seed"]), "check-exact"),
+        trace_length=int(cfg["trace_length"]))
+    return [
+        CheckRecord(
+            "exactness", "check-exact", rep.exact,
+            {"composite_residual": rep.composite_residual,
+             "level_residuals": list(rep.level_residuals),
+             "verdict_original": rep.verdict_original,
+             "verdict_bounded": rep.verdict_bounded}),
+        CheckRecord(
+            "squash-trace", "check-exact", rep.traces_within_bound,
+            {"probes": len(rep.traces),
+             "leading_trace_values": [list(t[:5]) for t in rep.traces[:3]]}),
+    ]
+
+
+def _check_quotient_iso(spec, cfg) -> list[CheckRecord]:
+    tower = spec.tower(_need(cfg, "tower"))
+    horizon = min(int(cfg["horizon"]), tower.horizon)
+    tol = float(cfg["tol"])
+    rep = quotient_iso_check(
+        tower, _constant_selector(tower, _need(cfg, "blocks"), horizon),
+        horizon=horizon, tol=tol, rng=stream(int(cfg["seed"]), "quotient-iso"),
+        probes=int(cfg["probes"]))
+    records = [CheckRecord(
+        "block-ideal-quotient-iso", "quotient-iso", rep.passed,
+        {"max_residual": rep.max_residual})]
+    for p in cfg.get("kernel_levels") or []:
+        rep = kernel_quotient_check(
+            tower, int(p), horizon=horizon, tol=tol,
+            rng=stream(int(cfg["seed"]), f"kernel-{p}"),
+            probes=int(cfg["probes"]))
+        records.append(CheckRecord(
+            f"seminorm-kernel-quotient-p{p}", "quotient-iso", rep.passed,
+            {"level": int(p), "max_residual": rep.max_residual}))
+    return records
+
+
+def _check_gelfand(spec, cfg) -> list[CheckRecord]:
+    if not (cfg.get("space") or cfg.get("tower")):
+        raise StructuralError(
+            "gelfand-roundtrip needs a space or a commutative tower")
+    probes, tol = int(cfg["probes"]), float(cfg["tol"])
+    records = []
+    if cfg.get("space"):
+        space = spec.space(cfg["space"])
+        rep = duality_roundtrip(
+            space, space.horizon, tol,
+            stream(int(cfg["seed"]), "gelfand-space"), probes)
+        records.append(CheckRecord(
+            "covered-space-roundtrip", "gelfand-roundtrip", rep.passed,
+            {"max_residual": rep.max_residual, "bijection_ok": rep.bijection_ok,
+             "family_ok": rep.family_ok}))
+    if cfg.get("tower"):
+        tower = spec.tower(cfg["tower"])
+        rep = duality_roundtrip(
+            tower, min(int(cfg["horizon"]), tower.horizon), tol,
+            stream(int(cfg["seed"]), "gelfand-tower"), probes)
+        records.append(CheckRecord(
+            "commutative-tower-roundtrip", "gelfand-roundtrip", rep.passed,
+            {"max_residual": rep.max_residual}))
+    return records
+
+
+def _check_unitary_log(spec, cfg) -> list[CheckRecord]:
+    e = spec.element(_need(cfg, "element"))
+    horizon = int(cfg["horizon"])
+    tol = float(cfg["tol"])
+    branch = float(cfg["branch"])
+    log, residual = _unitary_log(e, branch, tol, horizon)
+    return [CheckRecord(
+        "unitary-log", "unitary-log", residual <= 10 * tol,
+        {"branch": branch, "residual": residual,
+         "log_norms": [seminorm(log, p)
+                       for p in range(1, e.max_level(horizon) + 1)]})]
+
+
+def _check_exp_factor(spec, cfg) -> list[CheckRecord]:
+    e = spec.element(_need(cfg, "element"))
+    fact = identity_component_check(
+        e, int(cfg["horizon"]), tol=float(cfg["tol"]))
+    return [CheckRecord(
+        "exponential-factorization", "exp-factor", fact.valid,
+        {"factors": len(fact.factors), "residual": fact.residual,
+         "branch_angles": list(fact.branch_angles), "coherent": fact.coherent})]
 
 
 def shift_example_records(spec, seed: int) -> list[CheckRecord]:
@@ -100,8 +284,7 @@ def exactness_records(spec, seed: int, probes: int = 20) -> list[CheckRecord]:
         dec.inclusion, dec.quotient_map, probes=probes,
         horizon=tower.horizon, tol=1e-10, rng=rng)
     records = [CheckRecord(
-        "ideal-sequence-exact", "block-ideal-exactness",
-        report.verdict_original and report.verdict_bounded,
+        "ideal-sequence-exact", "block-ideal-exactness", report.exact,
         {"composite_residual": report.composite_residual,
          "level_residuals": list(report.level_residuals),
          "kernel_dims": list(report.kernel_dims),
@@ -112,7 +295,7 @@ def exactness_records(spec, seed: int, probes: int = 20) -> list[CheckRecord]:
     head = [list(t[:5]) for t in report.traces[:3]]
     records.append(CheckRecord(
         "squash-approximation-trace", "squash-convergence",
-        bool(report.traces) and report.traces_within_bound,
+        report.traces_within_bound,
         {"probes": len(report.traces), "trace_length":
             len(report.traces[0]) if report.traces else 0,
          "worst_margin_over_bound": report.squash_margin,
@@ -214,7 +397,7 @@ def unitary_suite_records(seed: int, count: int = 100) -> list[CheckRecord]:
                 [np.linalg.eigvals(b) for b in x.blocks]))
             branch, _ = largest_gap_branch(args)
             h = single_level_log(x, branch, tol=1e-9, level=p)
-            from .core_algebra import ExpI, apply_function, distance
+            from .core_algebra import apply_function, distance
 
             res = distance(apply_function(h, ExpI(1.0)), x)
             worst_residual = max(worst_residual, res)
@@ -327,3 +510,18 @@ def selftest_records(spec, seed: int) -> list[CheckRecord]:
     records = core_invariant_records(seed)
     records += unitary_suite_records(seed)
     return records
+
+
+CHECKS = {
+    "norm": _check_norm,
+    "spectrum": _check_spectrum,
+    "bounded": _check_bounded,
+    "funcalc": _check_funcalc,
+    "check-exact": _check_exact,
+    "quotient-iso": _check_quotient_iso,
+    "gelfand-roundtrip": _check_gelfand,
+    "unitary-log": _check_unitary_log,
+    "exp-factor": _check_exp_factor,
+    "paper-examples": lambda spec, cfg: paper_example_records(spec, int(cfg["seed"])),
+    "selftest": lambda spec, cfg: selftest_records(spec, int(cfg["seed"])),
+}

@@ -399,10 +399,6 @@ class CoherentElement:
                     raise StructuralError(
                         f"explicit level {p} lives in the wrong algebra")
 
-    @property
-    def explicit_horizon(self) -> int | None:
-        return len(self._explicit) if self._explicit is not None else None
-
     def _stored(self, p: int) -> AlgebraElement | None:
         """Level p when it is explicit or already cached, else None."""
         if p < 1:

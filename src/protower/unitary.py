@@ -147,6 +147,13 @@ def unitary_log(
     distance below 1 from the identity is the classical sufficient
     condition; it is measured and implies the margin check passes.
     """
+    return _unitary_log(u, branch_angle, tol, horizon)[0]
+
+
+def _unitary_log(
+    u: CoherentElement, branch_angle: float, tol: float, horizon: int | None
+) -> tuple[CoherentElement, float]:
+    """``unitary_log`` and the reassembly residual it verified."""
     top = u.max_level(horizon if horizon is not None else u.tower.horizon)
     inside_unit_ball = False
     if branch_angle == math.pi:
@@ -177,14 +184,11 @@ def unitary_log(
         spectral_bound=max(abs(branch_angle - 2 * math.pi), abs(branch_angle)),
         spectral_reason="arguments lie in the branch window",
     )
-    worst = 0.0
-    back = exp_selfadjoint(log, 1.0)
-    for p in range(1, top + 1):
-        worst = max(worst, distance(project(back, p), project(u, p)))
+    worst = _reassembly_residual((log,), u, top)
     if worst > 10 * tol:
         raise AlgebraError(
             f"logarithm reassembly residual {worst:.3e} exceeds {10 * tol:.3e}")
-    return log
+    return log, worst
 
 
 def largest_gap_branch(args) -> tuple[float, float]:
@@ -233,9 +237,7 @@ class ExpFactorization:
         tower = self.target.tower
 
         def gen(p: int, indices: list[int]) -> list[np.ndarray]:
-            out = tower.level(p).identity()
-            for a in factors:
-                out = out * apply_function(project(a, p), ExpI(1.0))
+            out = _exp_product(factors, tower, p)
             return [out.blocks[i] for i in indices]
 
         return CoherentElement(
@@ -243,14 +245,18 @@ class ExpFactorization:
             norm_reason="product of exponentials of self-adjoint elements")
 
 
-def _reassembly_residual(
-    fact_factors, u: CoherentElement, horizon: int
-) -> float:
+def _exp_product(factors, tower, p: int) -> AlgebraElement:
+    """Level p of exp(i*factors[0]) * exp(i*factors[1]) * ..."""
+    out = tower.level(p).identity()
+    for a in factors:
+        out = out * apply_function(project(a, p), ExpI(1.0))
+    return out
+
+
+def _reassembly_residual(factors, u: CoherentElement, horizon: int) -> float:
     worst = 0.0
     for p in range(1, horizon + 1):
-        out = u.tower.level(p).identity()
-        for a in fact_factors:
-            out = out * apply_function(project(a, p), ExpI(1.0))
+        out = _exp_product(factors, u.tower, p)
         worst = max(worst, distance(out, project(u, p)))
     return worst
 
@@ -298,8 +304,7 @@ def identity_component_check(
             ray_distance(complex(math.cos(t), math.sin(t)), theta)
             for t in args)
         if margin >= branch_margin:
-            log = unitary_log(u, theta, tol=tol, horizon=top)
-            residual = _reassembly_residual((log,), u, top)
+            log, residual = _unitary_log(u, theta, tol, top)
             if residual <= tol:
                 return ExpFactorization(
                     target=u, factors=(log,), residual=residual, horizon=top,
@@ -311,7 +316,7 @@ def identity_component_check(
             "no branch ray separates the spectrum; eigenvalue arguments: "
             f"{np.sort(args)}")
     half_tol = min(tol, gap_margin / 2)
-    best_effort = unitary_log(u, gap_mid, tol=half_tol, horizon=top)
+    best_effort, _ = _unitary_log(u, gap_mid, half_tol, top)
     half = CoherentElement(
         u.tower,
         levels=[0.5 * project(best_effort, p) for p in range(1, top + 1)],
@@ -327,7 +332,7 @@ def identity_component_check(
         raise AlgebraError(
             "splitting failed to open a branch gap; eigenvalue arguments "
             f"of the remainder: {np.sort(_level_args(w, top))}")
-    log_w = unitary_log(w, w_branch, tol=tol, horizon=top)
+    log_w, _ = _unitary_log(w, w_branch, tol, top)
     factors = (log_w, half)
     residual = _reassembly_residual(factors, u, top)
     if residual > tol:

@@ -6,10 +6,12 @@ import sys
 
 import pytest
 
-from protower.cli import bundled_spec_path, main, run
-from protower.core_algebra import StructuralError
+from protower.cli import COMMANDS, bundled_spec_path, main, run
+from protower.core_algebra import StructuralError, distance
 from protower.report import RunReport, emit_trace
 from protower.specfile import SpecFile, load_specfile, parse_complex, parse_matrix
+from protower.tower import project
+from protower.unitary import exp_selfadjoint, unitary_log
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +91,46 @@ def test_run_bounded_witness_example(spec):
     assert rec.details["status"] == "unbounded"
     assert rec.details["witness_level"] == 52
     assert rec.details["witness_value"] == pytest.approx(51.0, abs=1e-10)
+
+
+def test_commands_keep_their_order():
+    # benchmark rounds permute the commands by index into this tuple
+    assert COMMANDS == (
+        "norm", "spectrum", "bounded", "funcalc", "check-exact",
+        "quotient-iso", "gelfand-roundtrip", "unitary-log", "exp-factor",
+        "paper-examples", "selftest")
+
+
+def test_bounded_member_follows_verdict(spec):
+    statuses = []
+    for element in ("shift", "triple"):
+        details = run("bounded", spec, {"element": element}).records[0].details
+        assert details["member"] == (details["status"] == "bounded")
+        statuses.append(details["status"])
+    assert statuses == ["unbounded", "bounded"]
+
+
+def test_check_exact_without_probes_fails_squash_trace(spec):
+    report = run("check-exact", spec, {"probes": 0})
+    exactness, trace = report.records
+    assert exactness.passed
+    assert trace.details["probes"] == 0
+    assert not trace.passed
+    assert not report.all_passed
+
+
+def test_unitary_log_residual_is_the_reassembly(spec):
+    report = run("unitary-log", spec, {})
+    record = report.records[0]
+    cfg = report.config
+    u = spec.element(cfg["element"])
+    log = unitary_log(u, cfg["branch"], tol=cfg["tol"], horizon=cfg["horizon"])
+    back = exp_selfadjoint(log, 1.0)
+    expected = max(
+        distance(project(back, p), project(u, p))
+        for p in range(1, u.max_level(cfg["horizon"]) + 1))
+    assert record.passed
+    assert record.details["residual"] == expected
 
 
 def test_run_unknown_command(spec):

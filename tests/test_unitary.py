@@ -177,6 +177,47 @@ def test_identity_component_single_factor_near_identity():
         assert fact.valid
 
 
+def test_single_factor_residual_is_the_product_residual():
+    t = small_tower(5)
+    rng = stream(91, "single-factor-residual")
+    single = 0
+    for k in range(20):
+        if k % 2:
+            top = random_unitary(t.level(5), rng)
+        else:
+            top = random_unitary_near_identity(t.level(5), rng, max_distance=0.99)
+        u = coherent_from_top(t, top, 5, unitary=True)
+        fact = identity_component_check(u, horizon=5)
+        if len(fact.factors) != 1:
+            continue
+        single += 1
+        prod = fact.product()
+        assert fact.residual == max(
+            distance(project(prod, p), project(u, p)) for p in range(1, 6))
+    assert single >= 10
+
+
+def test_single_factor_reassembles_once(monkeypatch):
+    # the residual unitary_log verified is reused: one exponential per level
+    import protower.unitary as unitary
+
+    calls = []
+    real = unitary.apply_function
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(unitary, "apply_function", counted)
+    t = small_tower()
+    top = random_unitary_near_identity(
+        t.level(4), stream(92, "reassemble-once"), max_distance=0.99)
+    fact = identity_component_check(
+        coherent_from_top(t, top, 4, unitary=True), horizon=4)
+    assert len(fact.factors) == 1
+    assert len(calls) == 4
+
+
 def test_identity_component_split_when_branch_crowded():
     # eigenvalues at 12th roots of unity crowd every ray at margin pi/12,
     # including -1 itself: the single pi-branch log must fail, and the
