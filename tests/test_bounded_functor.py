@@ -169,14 +169,6 @@ def test_squash_bound_rule_and_margin():
     assert worse.squash_margin == pytest.approx(0.1 - 1e-9)
     # no trace taken is no evidence of convergence
     assert not dataclasses.replace(report, traces=()).traces_within_bound
-
-
-def test_exact_needs_both_verdicts():
-    report = ExactnessReport(
-        horizon=1, composite_residual=0.0, level_residuals=(0.0,),
-        kernel_dims=(1,), image_dims=(1,), verdict_original=True,
-        bounded_residual=0.0, verdict_bounded=True, traces=(),
-        probe_norms=())
     assert report.exact
     assert not dataclasses.replace(report, verdict_original=False).exact
     assert not dataclasses.replace(report, verdict_bounded=False).exact
