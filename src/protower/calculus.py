@@ -5,6 +5,12 @@ classification and lifted functional calculus. Boundedness over an
 infinite chain is only semi-decidable from finitely many levels, so every
 verdict here is explicitly three-valued: bounded with a certificate,
 unbounded with a witness level, or unknown at the truncation horizon.
+
+Sweeps build and measure only the blocks born at each level. The uniform
+norm brackets each newborn block in O(n^2), between its largest column
+norm and min(||b||_F, sqrt(||b||_1 ||b||_inf)), and runs an SVD only
+where the bracket cannot decide the verdict, so every number it returns
+still comes from an SVD of the block that reaches it.
 """
 
 from __future__ import annotations
@@ -96,66 +102,124 @@ def seminorm(e: CoherentElement, p: int) -> float:
     return cstar_norm(project(e, p))
 
 
-def _block_stat_sweep(
-    e: CoherentElement,
-    horizon: int,
-    stat: Callable[[np.ndarray, int], object],
-) -> Iterator[tuple[int, dict[int, object], list[int]]]:
-    """Walk levels computing a per-block statistic once per block.
+def _newborn_blocks(
+    e: CoherentElement, horizon: int
+) -> Iterator[tuple[int, list[int], list[np.ndarray]]]:
+    """Walk levels yielding only the blocks born at each one.
 
     Connecting maps conjugate surviving blocks by unitaries, and both the
     operator norm and the eigenvalue set are conjugation-invariant, so a
-    block routed up the chain keeps its statistic; only newborn blocks are
-    computed, and only they are built. Yields (level, stats per block,
-    fresh block indices).
+    block routed up the chain keeps its statistic; only newborn blocks need
+    to be built and measured. Every block of a level is born at that level
+    or carried up from the one below, so the blocks seen up to level p are
+    exactly those of level p. Yields (level, newborn indices, their blocks).
     """
     t = e.tower
-    stats: dict[int, object] = {}
     for p in range(1, horizon + 1):
-        if p > 1:
-            stats = {
-                route[0]: stats[j]
-                for j, route in enumerate(t.map(p - 1).routes)}
-        fresh = [i for i in range(t.level(p).num_blocks) if i not in stats]
-        if fresh:  # levels without newborn blocks need no data at all
-            for i, b in zip(fresh, e.level_blocks(p, fresh)):
-                stats[i] = stat(b, i)
-        yield p, stats, fresh
+        inherited = {route[0] for route in t.map(p - 1).routes} if p > 1 else ()
+        fresh = [i for i in range(t.level(p).num_blocks) if i not in inherited]
+        # levels without newborn blocks need no data at all
+        yield p, fresh, e.level_blocks(p, fresh) if fresh else []
 
 
-def _radius_stat(b: np.ndarray, i: int) -> float:
-    return float(np.abs(_block_eigenvalues(b, i)).max())
+# Relative slack per unit of block size that covers the rounding of the
+# bracket's reductions and of LAPACK's SVD, so lo <= _block_norm(b) <= hi.
+_BRACKET_SLACK = 64 * np.finfo(float).eps
 
 
-def _norm_stat(b: np.ndarray, i: int) -> float:
-    return _block_norm(b)
+def _norm_bracket(b: np.ndarray, i: int) -> tuple[float, float]:
+    """O(n^2) bounds lo <= _block_norm(b) <= hi.
+
+    lo is the largest column norm, hi is min(||b||_F, sqrt(||b||_1
+    ||b||_inf)); both are widened by n * _BRACKET_SLACK. Entries are
+    scaled by the largest modulus first, so squares neither overflow nor
+    underflow. A 1x1 block, or a zero block, is exact (lo == hi).
+    """
+    n = b.shape[0]
+    if n == 1:
+        v = abs(b[0, 0])
+        return v, v
+    a = np.abs(b)
+    s = float(a.max())
+    if s == 0.0:
+        return 0.0, 0.0
+    if not s < math.inf:  # inf or nan: leave it to _block_norm
+        return 0.0, math.inf
+    a /= s
+    col_sq = np.einsum("ij,ij->j", a, a)
+    slack = n * _BRACKET_SLACK
+    lo = s * math.sqrt(col_sq.max()) * (1 - slack)
+    hi = s * min(
+        math.sqrt(col_sq.sum()),
+        math.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max())) * (1 + slack)
+    return lo, hi
+
+
+def _radius_bracket(b: np.ndarray, i: int) -> tuple[float, float]:
+    r = float(np.abs(_block_eigenvalues(b, i)).max())
+    return r, r
 
 
 def _sup_verdict(
     e: CoherentElement,
     horizon: int,
     threshold: float,
-    stat,
+    bracket: Callable[[np.ndarray, int], tuple[float, float]],
+    exact: Callable[[np.ndarray], float] | None,
     certificate: tuple[float, str] | None,
 ) -> BoundednessVerdict:
+    """Classify the sup over levels of a per-block statistic.
+
+    ``bracket(b, i)`` bounds the statistic of newborn block i; equal
+    bounds are its value, otherwise ``exact(b)`` computes it. The value is
+    computed only where the bracket cannot decide: at a level whose
+    largest upper bound is above the threshold, and for the final sup.
+    Both walk the undecided blocks by descending upper bound and stop at
+    the first one not above the best value so far. A block is held only
+    while its upper bound exceeds every lower bound seen.
+    """
     if horizon < 1:
         raise PreconditionError("horizon must be >= 1")
     if certificate is not None:
         bound, reason = certificate
         return BoundednessVerdict.bounded(bound, reason, horizon)
     top = e.max_level(horizon)
-    best = 0.0
-    for p, stats, _ in _block_stat_sweep(e, top, stat):
-        level_value = max(stats.values())
-        best = max(best, level_value)
-        if level_value > threshold:
-            return BoundednessVerdict.unbounded(
-                p, level_value, horizon, lower_bound=best)
+    best = 0.0  # largest value known; the sup of the blocks already settled
+    floor = 0.0  # largest lower bound seen
+    held: list[tuple[float, np.ndarray]] = []  # (hi, block) still undecided
+    for p, fresh, blocks in _newborn_blocks(e, top):
+        for i, b in zip(fresh, blocks):
+            lo, hi = bracket(b, i)
+            if lo == hi:
+                best = max(best, hi)
+            else:
+                held.append((hi, b))
+            floor = max(floor, lo)
+        held = [h for h in held if h[0] > floor]
+        if max((h[0] for h in held), default=best) > threshold:
+            best = _settle(held, best, exact)
+            floor, held = max(floor, best), []
+        if best > threshold:
+            return BoundednessVerdict.unbounded(p, best, horizon, lower_bound=best)
+    best = _settle(held, best, exact)
     exhausted = (not e.tower.is_lazy) and top >= e.tower.horizon
     if exhausted:
         return BoundednessVerdict.bounded(
             best, "finite tower exhausted", horizon, lower_bound=best)
     return BoundednessVerdict.unknown(best, horizon)
+
+
+def _settle(
+    held: list[tuple[float, np.ndarray]],
+    best: float,
+    exact: Callable[[np.ndarray], float],
+) -> float:
+    """max(best, exact values of the held blocks), computing the fewest."""
+    for hi, b in sorted(held, key=lambda h: h[0], reverse=True):
+        if hi <= best:
+            break
+        best = max(best, exact(b))
+    return best
 
 
 def uniform_norm(
@@ -175,7 +239,8 @@ def uniform_norm(
         cert = (e.norm_bound, e.norm_reason or "declared norm bound")
     elif e.unitary:
         cert = (1.0, "unitary element")
-    return _sup_verdict(e, horizon, divergence_threshold, _norm_stat, cert)
+    return _sup_verdict(
+        e, horizon, divergence_threshold, _norm_bracket, _block_norm, cert)
 
 
 def is_spectrally_bounded(
@@ -189,7 +254,8 @@ def is_spectrally_bounded(
         cert = (e.spectral_bound, e.spectral_reason or "declared spectral bound")
     elif e.unitary:
         cert = (1.0, "unitary element")
-    return _sup_verdict(e, horizon, threshold, _radius_stat, cert)
+    # radius brackets are exact, so nothing is left to settle
+    return _sup_verdict(e, horizon, threshold, _radius_bracket, None, cert)
 
 
 def pro_spectrum(
@@ -210,9 +276,8 @@ def pro_spectrum(
         raise PreconditionError("cluster_tol must be positive")
     top = e.max_level(horizon)
     collected = []
-    for _, stats, fresh in _block_stat_sweep(e, top, _block_eigenvalues):
-        for i in fresh:
-            collected.append(stats[i])
+    for _, fresh, blocks in _newborn_blocks(e, top):
+        collected += [_block_eigenvalues(b, i) for i, b in zip(fresh, blocks)]
     points = np.concatenate(collected) if collected else np.zeros(0, complex)
     if not e.tower.unital:
         points = np.append(points, 0.0)

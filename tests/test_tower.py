@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from protower.calculus import (
+    DEFAULT_DIVERGENCE_THRESHOLD,
+    BoundednessVerdict,
     coherent_selfadjoint_parts,
     lift_function,
     pro_spectrum,
@@ -16,6 +18,7 @@ from protower.core_algebra import (
     ExpI,
     StructuralError,
     TruncationError,
+    _block_norm,
     cluster_points,
     cstar_norm,
     distance,
@@ -360,3 +363,109 @@ def test_sweeps_match_full_levels_on_twisted_tower():
         assert verdict.is_bounded
         assert abs(verdict.bound - max(cstar_norm(y) for y in levels)) <= 1e-10
         assert check_coherence(e, horizon).passed
+
+
+def full_sweep_verdict(e, horizon, threshold):
+    """uniform_norm with one SVD per newborn block, inherited along the
+    routes, and the level maxima taken over every block: the sweep that
+    the bracket replaces, kept as the reference."""
+    t = e.tower
+    top = e.max_level(horizon)
+    norms, best = {}, 0.0
+    for p in range(1, top + 1):
+        if p > 1:
+            norms = {
+                route[0]: norms[j] for j, route in enumerate(t.map(p - 1).routes)}
+        fresh = [i for i in range(t.level(p).num_blocks) if i not in norms]
+        if fresh:
+            for i, b in zip(fresh, e.level_blocks(p, fresh)):
+                norms[i] = _block_norm(b)
+        level_value = max(norms.values())
+        best = max(best, level_value)
+        if level_value > threshold:
+            return BoundednessVerdict.unbounded(
+                p, level_value, horizon, lower_bound=best)
+    if not t.is_lazy and top >= t.horizon:
+        return BoundednessVerdict.bounded(
+            best, "finite tower exhausted", horizon, lower_bound=best)
+    return BoundednessVerdict.unknown(best, horizon)
+
+
+def seeded_blocks(seed, make):
+    """Generator whose newborn block (p, i) is ``make(p, i, rng)`` with an
+    rng keyed by (seed, p, i), so regenerating a block rebuilds it exactly."""
+    def gen(p, indices):
+        return [make(p, i, stream(seed, f"block-{p}-{i}")) for i in indices]
+    return gen
+
+
+def test_bracketed_sweep_equals_full_sweep():
+    elements = []
+    for seed in range(4):
+        rng = stream(seed, "bracket-twisted")
+        t, _ = twisted_chain(8, rng)
+        elements += [
+            coherent_from_top(t, random_element(t.level(8), rng), 8),
+            coherent_from_top(t, random_selfadjoint(t.level(8), rng), 8),
+        ]
+    # dense random blocks of random scale, on a lazy and on a finite tower
+    for lazy in (True, False):
+        t = make_product_tower(lambda k: k, 12, lazy=lazy)
+        elements.append(CoherentElement(t, generator=seeded_blocks(
+            int(lazy), lambda p, i, rng: rng.uniform(0, 4) * random_element(
+                BlockAlgebra((i + 1,)), rng).blocks[0])))
+    # ties: block 2k+1 is a unitary conjugate of block 2k, born a level
+    # later; diagonal blocks whose norms step up by one ulp every two levels
+    def conjugate_pairs(p, i, rng):
+        b = random_element(BlockAlgebra((3,)), stream(5, f"pair-{i // 2}")).blocks[0]
+        if i % 2 == 0:
+            return b
+        u = random_unitary(BlockAlgebra((3,)), rng).blocks[0]
+        return u @ b @ u.conj().T
+
+    ulp = np.nextafter(3.0, 9.0) - 3.0
+
+    def ulp_steps(p, i, rng):
+        return np.diag([3.0 + (i // 2) * ulp, 0.5, 0.25]).astype(complex)
+
+    assert _block_norm(ulp_steps(3, 2, None)) == np.nextafter(
+        _block_norm(ulp_steps(1, 0, None)), 9.0)
+    tied = make_product_tower(lambda k: 3, 1)
+    elements += [
+        CoherentElement(tied, generator=seeded_blocks(5, conjugate_pairs)),
+        CoherentElement(tied, generator=seeded_blocks(6, ulp_steps)),
+    ]
+
+    for e in elements:
+        sup = full_sweep_verdict(e, 12, math.inf).lower_bound
+        thresholds = [math.inf, DEFAULT_DIVERGENCE_THRESHOLD, sup,
+                      np.nextafter(sup, 0.0), sup / 2, 0.0]
+        witnessed = 0
+        for threshold in thresholds:
+            want = full_sweep_verdict(e, 12, threshold)
+            assert uniform_norm(e, 12, threshold) == want
+            witnessed += want.is_unbounded
+        assert witnessed >= 2  # nextafter(sup, 0) and 0 always trigger one
+
+
+def test_bracketed_sweep_svd_counts(monkeypatch):
+    import protower.calculus
+    from protower.cli import bundled_spec_path, run
+    from protower.specfile import load_specfile
+
+    sizes = []
+
+    def counted(b):
+        sizes.append(b.shape[0])
+        return _block_norm(b)
+
+    monkeypatch.setattr(protower.calculus, "_block_norm", counted)
+    shift = shift_element(make_product_tower(lambda k: k, 1))
+    assert uniform_norm(shift, 300, math.inf).lower_bound == 299.0
+    assert len(sizes) <= 2
+
+    sizes.clear()
+    report = run("bounded", load_specfile(bundled_spec_path()), {})
+    details = report.records[0].details
+    assert (details["witness_level"], details["witness_value"]) == (52, 51.0)
+    assert len(sizes) <= 3
