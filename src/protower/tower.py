@@ -524,8 +524,8 @@ def scalar_element(tower: Tower, lam: complex) -> CoherentElement:
 
 def _superdiagonal(n: int) -> np.ndarray:
     b = np.zeros((n, n), dtype=complex)
-    for i in range(n - 1):
-        b[i, i + 1] = i + 1
+    idx = np.arange(n - 1)
+    b[idx, idx + 1] = idx + 1
     return b
 
 
