@@ -143,9 +143,11 @@ def unitary_log(
 
     One fixed branch angle across all levels keeps the logarithm coherent.
     The reassembly exp(i*log) is verified against u within 10*tol on all
-    materialized levels before returning. With the branch at pi, uniform
-    distance below 1 from the identity is the classical sufficient
-    condition; it is measured and implies the margin check passes.
+    materialized levels before returning. For a branch ray at least pi/3
+    from angle 0, uniform distance below 1 from the identity is the
+    classical sufficient condition for the margin check to pass; it is
+    measured only when that check fails, and an input that meets it then
+    raises AlgebraError instead of BranchError.
     """
     return _unitary_log(u, branch_angle, tol, horizon)[0]
 
@@ -155,20 +157,19 @@ def _unitary_log(
 ) -> tuple[CoherentElement, float]:
     """``unitary_log`` and the reassembly residual it verified."""
     top = u.max_level(horizon if horizon is not None else u.tower.horizon)
-    inside_unit_ball = False
-    if branch_angle == math.pi:
-        # sufficient condition: sup ||1 - u|| < 1 keeps all eigenvalue
-        # arguments inside (-pi/3, pi/3), far from the ray at pi
-        inside_unit_ball = max(
-            distance(project(u, p), u.tower.level(p).identity())
-            for p in range(1, top + 1)) < 1.0
     levels = []
     for p in range(1, top + 1):
         try:
             levels.append(
                 single_level_log(project(u, p), branch_angle, tol, level=p))
         except BranchError:
-            if inside_unit_ball:
+            # sufficient condition: sup ||1 - u|| < 1 keeps all eigenvalue
+            # arguments inside (-pi/3, pi/3), off every ray at least pi/3
+            # from angle 0
+            far_ray = abs(math.remainder(branch_angle, 2 * math.pi)) >= math.pi / 3
+            if far_ray and max(
+                    distance(project(u, q), u.tower.level(q).identity())
+                    for q in range(1, top + 1)) < 1.0:
                 raise AlgebraError(
                     "distance to the identity is below 1 yet an eigenvalue "
                     f"reached the branch ray at level {p}; the input is not "
