@@ -265,6 +265,20 @@ def _space_roundtrip(
         "space", bijection_ok, birth_ok, family_ok, max_residual, probes, tol)
 
 
+def _character_cover(chars: CharacterSpace) -> tuple[CoveredSpace, list[int]]:
+    """The covered space of a character space, and the character id of
+    each of its points: one point per character, the chain listing each
+    level's characters in block order."""
+    id_order = list(chars.union)
+    point_of = {c: i for i, c in enumerate(id_order)}
+    space = CoveredSpace(
+        points=tuple(f"chi{c}" for c in id_order),
+        chain=tuple(
+            tuple(point_of[c] for c in ids) for ids in chars.level_points),
+    )
+    return space, id_order
+
+
 def _tower_roundtrip(
     tower: Tower, horizon: int, tol: float, rng, probes: int
 ) -> DualityReport:
@@ -272,14 +286,29 @@ def _tower_roundtrip(
     from .tower import coherent_from_top
 
     chars = character_space(tower, horizon)
-    id_order = list(chars.union)
-    space = CoveredSpace(
-        points=tuple(f"chi{c}" for c in id_order),
-        chain=tuple(
-            tuple(id_order.index(c) for c in ids)
-            for ids in chars.level_points),
-    )
+    space, id_order = _character_cover(chars)
     cf = cf_algebra(space)
+    cf_chars = character_space(cf.tower, horizon)
+
+    # character of the rebuilt tower -> character of the tower, through the
+    # point both stand for; block j of a level must be the same character
+    # on both sides
+    cf_to_id: dict[int, int] = {}
+    consistent = True
+    for p in range(1, horizon + 1):
+        ids, cf_ids = chars.level_points[p - 1], cf_chars.level_points[p - 1]
+        consistent &= len(ids) == len(cf_ids)
+        for j, (cid, point) in enumerate(zip(cf_ids, space.chain[p - 1])):
+            c = id_order[point]
+            consistent &= cf_to_id.setdefault(cid, c) == c == ids[j]
+    bijection_ok = (
+        consistent
+        and len(set(cf_to_id.values())) == len(cf_to_id) == len(chars.union))
+    birth_ok = all(
+        cf_chars.born_at(cid) == chars.born_at(c) for cid, c in cf_to_id.items())
+    family_ok = all(
+        frozenset(cf_to_id[cid] for cid in cf_fam) == fam
+        for cf_fam, fam in zip(cf_chars.family, chars.family))
 
     max_residual = 0.0
     for _ in range(probes):
@@ -295,12 +324,8 @@ def _tower_roundtrip(
                 abs(a[0, 0] - b[0, 0])
                 for a, b in zip(orig.blocks, rebuilt.blocks))
             max_residual = max(max_residual, diff)
-    # block structure agrees level by level by construction
-    shapes_ok = all(
-        tower.level(p).num_blocks == cf.tower.level(p).num_blocks
-        for p in range(1, horizon + 1))
     return DualityReport(
-        "tower", shapes_ok, True, True, max_residual, probes, tol)
+        "tower", bijection_ok, birth_ok, family_ok, max_residual, probes, tol)
 
 
 def duality_roundtrip(obj, horizon: int, tol: float, rng, probes: int = 100):

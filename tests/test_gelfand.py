@@ -164,6 +164,25 @@ def test_tower_roundtrip_commutative():
     assert report.max_residual <= 1e-12
 
 
+def test_tower_roundtrip_flags_catch_scrambled_points(monkeypatch):
+    import protower.gelfand
+
+    cover = protower.gelfand._character_cover
+
+    def scrambled(chars):
+        space, id_order = cover(chars)
+        return space, id_order[::-1]
+
+    t = make_product_tower(lambda k: 1, 5)
+    monkeypatch.setattr(protower.gelfand, "_character_cover", scrambled)
+    # no probes: the structural flags alone must fail the report
+    report = duality_roundtrip(t, 5, 1e-12, stream(77, "scrambled"), probes=0)
+    assert not report.bijection_ok
+    assert not report.birth_levels_ok
+    assert not report.family_ok
+    assert not report.passed
+
+
 def test_roundtrip_unbounded_seminorm_growth():
     # function with values 1, 2, 3, ... on a growing covered space: the
     # truncated sup grows without a certificate, the bounded-function
