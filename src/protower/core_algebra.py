@@ -212,14 +212,35 @@ def distance(x: AlgebraElement, y: AlgebraElement) -> float:
 # norms and spectra
 # ---------------------------------------------------------------------------
 
-def _block_norm(b: np.ndarray) -> float:
-    if b.shape[0] == 1:
-        return abs(b[0, 0])
+def _block_norms(stack: np.ndarray) -> np.ndarray:
+    """Operator norms of an (m, n, n) stack of blocks, one per block.
+
+    1x1 entries take scalar ``abs``, which is not bitwise the array
+    ``np.abs``; an all-zero stack needs no LAPACK call; any other stack
+    makes one batched SVD, whose rows equal the per-block calls bitwise.
+    If it fails, the blocks go one at a time so the error names the block.
+    """
+    m, n = stack.shape[0], stack.shape[-1]
+    if n == 1:
+        return np.fromiter(map(abs, stack.reshape(m)), float, m)
+    if not np.count_nonzero(stack):
+        return np.zeros(m)
     try:
-        s = np.linalg.svd(b, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK hiccup
-        raise EigensolverError(f"SVD failed on a {b.shape[0]}x{b.shape[0]} block: {exc}")
-    return float(s[0])
+        return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    except np.linalg.LinAlgError as exc:
+        for k in range(m):
+            try:
+                np.linalg.svd(stack[k], compute_uv=False)
+            except np.linalg.LinAlgError as one:
+                raise EigensolverError(
+                    f"SVD failed on a {n}x{n} block, block {k} of a stack "
+                    f"of {m}: {one}") from one
+        raise EigensolverError(
+            f"SVD failed on a stack of {m} {n}x{n} blocks: {exc}") from exc
+
+
+def _block_norm(b: np.ndarray) -> float:
+    return float(_block_norms(b[None])[0])
 
 
 def cstar_norm(x: AlgebraElement) -> float:

@@ -131,7 +131,8 @@ class BlockMap:
 
         ``fetch(sources)`` returns the source blocks they are routed from,
         in the order of ``sources``; it is called once, and only for the
-        routed ones.
+        routed ones. A fetched block may be an (m, n, n) stack: the
+        conjugation broadcasts over it (an unrouted target stays one block).
         """
         routes = [self.routes[j] for j in indices]
         fetched = iter(fetch([r[0] for r in routes if r is not None]))
@@ -149,17 +150,23 @@ class BlockMap:
         """A right inverse: conjugate back and fill unrouted blocks with 0."""
         if y.parent != self.target:
             raise StructuralError("element does not live in the target algebra")
+        return AlgebraElement(self.source, self.section_blocks(y.blocks))
+
+    def section_blocks(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """The source blocks of the section of the target ``blocks``.
+
+        Each block may be an (m, n, n) stack; every source block is then a
+        stack of the same height.
+        """
         if not self.is_surjective_form:
             raise PreconditionError("section requires a surjective-form map")
-        blocks = [
-            np.zeros((n, n), dtype=complex) for n in self.source.block_sizes]
-        for j, route in enumerate(self.routes):
-            s, u = route
-            if u is None:
-                blocks[s] = y.blocks[j]
-            else:
-                blocks[s] = u.conj().T @ y.blocks[j] @ u
-        return AlgebraElement(self.source, blocks)
+        lead = np.shape(blocks[0])[:-2]
+        out = [
+            np.zeros(lead + (n, n), dtype=complex)
+            for n in self.source.block_sizes]
+        for j, (s, u) in enumerate(self.routes):
+            out[s] = blocks[j] if u is None else u.conj().T @ blocks[j] @ u
+        return out
 
     def compose(self, inner: BlockMap) -> BlockMap:
         """self o inner (inner is applied first)."""

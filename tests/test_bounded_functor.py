@@ -523,3 +523,125 @@ def test_newborn_trace_matches_all_levels_on_twisted_tower(monkeypatch, continuo
     new, old = replayed_traces(monkeypatch, alpha, dec.quotient_map, 6, 76)
     for got, want in zip(new, old):
         assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# quotient checks: probe stacks against the per-probe loops
+# ---------------------------------------------------------------------------
+
+def per_probe_quotient_iso(tower, selector, horizon, rng, probes):
+    """quotient_iso_check on a nontrivial split, one probe at a time."""
+    finite = tower.finite_prefix(horizon)
+    dec = closed_ideal(finite, selector)
+    top = finite.level(horizon)
+    quo = dec.quotient_map.level_map(horizon)
+    sel = dec.selectors[horizon - 1]
+    iso, hom = [], 0.0
+    for _ in range(probes):
+        a = random_element(top, rng)
+        b = random_element(top, rng)
+        qa, qb = quo.apply(a), quo.apply(b)
+        zeroed = AlgebraElement(
+            top, [x * 0 if i in sel else x for i, x in enumerate(a.blocks)])
+        iso.append(abs(cstar_norm(qa) - cstar_norm(zeroed)))
+        hom = max(
+            hom,
+            distance(quo.apply(a * b), qa * qb),
+            distance(quo.apply(a.adjoint()), qa.adjoint()),
+            distance(quo.apply(a + b), qa + qb))
+    return tuple(iso), hom
+
+
+def section_by_hand(m, y):
+    """The section of y: routed blocks conjugated back, the rest 0."""
+    blocks = [np.zeros((n, n), dtype=complex) for n in m.source.block_sizes]
+    for j, (s, u) in enumerate(m.routes):
+        blocks[s] = y.blocks[j] if u is None else u.conj().T @ y.blocks[j] @ u
+    return AlgebraElement(m.source, blocks)
+
+
+def per_probe_kernel_quotient(tower, p, horizon, rng, probes):
+    """kernel_quotient_check, one probe at a time."""
+    top = tower.level(horizon)
+    down = tower.connecting(p, horizon)
+    iso, hom = [], 0.0
+    for _ in range(probes):
+        a = random_element(top, rng)
+        b = random_element(top, rng)
+        image = down.apply(a)
+        iso.append(abs(
+            cstar_norm(image) - cstar_norm(section_by_hand(down, image))))
+        hom = max(
+            hom,
+            distance(down.apply(a * b), image * down.apply(b)),
+            distance(down.apply(a.adjoint()), image.adjoint()))
+    return tuple(iso), hom
+
+
+def residuals(report):
+    return report.isometry_residuals, report.hom_residual
+
+
+def test_quotient_iso_stacks_equal_probe_loop_on_wide_product():
+    tower = load_specfile(bundled_spec_path()).tower("wide-product")
+    selector = [frozenset({0})] * tower.horizon
+    for seed in (0, 1, 2):
+        report = quotient_iso_check(
+            tower, selector, horizon=tower.horizon, tol=1e-10,
+            rng=stream(seed, "quotient-iso"), probes=50)
+        assert len(report.isometry_residuals) == 50
+        assert residuals(report) == per_probe_quotient_iso(
+            tower, selector, tower.horizon, stream(seed, "quotient-iso"), 50)
+
+
+def test_kernel_quotient_stacks_equal_probe_loop_on_matrix_product():
+    tower = load_specfile(bundled_spec_path()).tower("matrix-product")
+    tower.ensure(5)
+    for p in (1, 2, 3):
+        report = kernel_quotient_check(
+            tower, p, horizon=5, tol=1e-10,
+            rng=stream(0, f"kernel-quotient-{p}"), probes=50)
+        assert residuals(report) == per_probe_kernel_quotient(
+            tower, p, 5, stream(0, f"kernel-quotient-{p}"), 50)
+
+
+def test_quotient_stacks_equal_probe_loops_on_twisted_tower():
+    # Haar conjugators on every route make the residuals rounding-sized
+    # but nonzero, so a one-ulp drift of either path shows here
+    for seed in (80, 81):
+        dec = twisted_ideal(6, seed)
+        for p in (1, 3, 5):
+            report = kernel_quotient_check(
+                dec.tower, p, horizon=6, tol=1e-10,
+                rng=stream(seed, f"twisted-kernel-{p}"), probes=30)
+            iso, hom = per_probe_kernel_quotient(
+                dec.tower, p, 6, stream(seed, f"twisted-kernel-{p}"), 30)
+            assert residuals(report) == (iso, hom)
+            assert report.passed and max(iso) > 0.0 and hom > 0.0
+        report = quotient_iso_check(
+            dec.tower, dec.selectors, horizon=6, tol=1e-10,
+            rng=stream(seed, "twisted-quotient"), probes=30)
+        assert residuals(report) == per_probe_quotient_iso(
+            dec.tower, dec.selectors, 6, stream(seed, "twisted-quotient"), 30)
+
+
+def test_quotient_iso_runs_one_svd_per_nonzero_stack(monkeypatch):
+    # the images and the zeroed representatives make one SVD per block
+    # position of size >= 2; the hom differences of a conjugator-free
+    # quotient map are exactly 0 and reach no LAPACK call
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    tower = load_specfile(bundled_spec_path()).tower("wide-product")
+    report = quotient_iso_check(
+        tower, [frozenset({0})] * tower.horizon, horizon=tower.horizon,
+        tol=1e-10, rng=stream(3, "svd-count"), probes=20)
+    quotient_sizes = tower.level(tower.horizon).block_sizes[1:]
+    assert report.hom_residual == 0.0
+    assert sorted(calls) == sorted(
+        2 * [(20, n, n) for n in quotient_sizes if n > 1])

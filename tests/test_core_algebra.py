@@ -13,6 +13,7 @@ from protower.core_algebra import (
     BlockAlgebra,
     BranchError,
     DomainError,
+    EigensolverError,
     ExpI,
     Polynomial,
     PreconditionError,
@@ -21,6 +22,8 @@ from protower.core_algebra import (
     StructuralError,
     Tabulated,
     _block_eigenvalues,
+    _block_norm,
+    _block_norms,
     _is_triangular,
     adjoin_unit_element,
     apply_function,
@@ -36,6 +39,7 @@ from protower.randomness import (
     random_element,
     random_normal,
     random_selfadjoint,
+    random_unitary,
     stream,
 )
 
@@ -325,3 +329,92 @@ def test_normal_norm_equals_spectral_radius():
         x = random_normal(M123, rng)
         assert abs(cstar_norm(x) - spectral_radius(x)) <= 1e-10 * max(
             1.0, cstar_norm(x))
+
+
+# ---------------------------------------------------------------------------
+# stacked blocks: the numerics the quotient checks' probe stacks rely on
+# ---------------------------------------------------------------------------
+
+def same_bits(x, y) -> bool:
+    """Equal as float64 bit patterns (so 0.0 and -0.0 differ)."""
+    return np.asarray(x, dtype=float).tobytes() == np.asarray(y, dtype=float).tobytes()
+
+
+def per_block_norm(b):
+    """The norm of one 2-D block as the per-block kernel computes it."""
+    if b.shape[0] == 1:
+        return abs(b[0, 0])
+    return float(np.linalg.svd(b, compute_uv=False)[0])
+
+
+def ginibre_stack(rng, m, n):
+    return rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+
+
+def test_block_norms_equal_per_block_norms_bitwise():
+    rng = stream(90, "block-norm-stacks")
+    for n in range(1, 13):
+        stack = ginibre_stack(rng, 20, n)
+        stack[3] = 0  # a zero block inside a nonzero stack
+        norms = _block_norms(stack)
+        assert norms.shape == (20,)
+        for b, norm in zip(stack, norms):
+            assert same_bits(norm, _block_norm(b))
+            assert same_bits(norm, per_block_norm(b))
+        for zero in (np.zeros((7, n, n), dtype=complex),
+                     np.full((7, n, n), complex(-0.0, -0.0))):
+            assert same_bits(_block_norms(zero), [per_block_norm(b) for b in zero])
+            assert same_bits(_block_norms(zero), np.zeros(7))
+
+
+def test_all_zero_stack_makes_no_svd_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called on an all-zero stack")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for n in (2, 5):
+        assert same_bits(_block_norms(np.zeros((4, n, n), dtype=complex)), np.zeros(4))
+        assert same_bits(_block_norm(np.full((n, n), -0.0 + 0j)), 0.0)
+
+
+def test_block_norms_1x1_take_scalar_abs():
+    # array np.abs and scalar abs round differently on some entries; the
+    # per-block kernel always used the scalar form
+    rng = stream(91, "scalar-abs")
+    entries = rng.standard_normal(20000) + 1j * rng.standard_normal(20000)
+    scalar = np.array([abs(z) for z in entries])
+    assert np.count_nonzero(np.abs(entries) != scalar) > 100
+    assert same_bits(_block_norms(entries.reshape(-1, 1, 1)), scalar)
+
+
+def test_conjugated_stack_equals_per_slice_products():
+    rng = stream(92, "conjugated-stacks")
+    for n in (1, 2, 3, 5, 8, 13):
+        u = random_unitary(BlockAlgebra((n,)), rng).blocks[0]
+        stack = ginibre_stack(rng, 30, n)
+        adjoints = np.array(stack.conj().transpose(0, 2, 1), copy=True)
+        for blocks in (stack, adjoints):
+            assert np.array_equal(
+                u @ blocks @ u.conj().T, [u @ b @ u.conj().T for b in blocks])
+            assert np.array_equal(
+                u.conj().T @ blocks @ u, [u.conj().T @ b @ u for b in blocks])
+        assert np.array_equal(stack @ adjoints, [
+            a @ b for a, b in zip(stack, adjoints)])
+
+
+def test_failed_stack_svd_names_the_block(monkeypatch):
+    svd = np.linalg.svd
+    marker = 7.0 + 7.0j
+
+    def flaky(a, *args, **kwargs):
+        if a.ndim == 3 or a[0, 0] == marker:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", flaky)
+    stack = ginibre_stack(stream(93, "flaky-svd"), 5, 3)
+    stack[2, 0, 0] = marker
+    with pytest.raises(EigensolverError, match="block 2 of a stack of 5"):
+        _block_norms(stack)
+    with pytest.raises(EigensolverError, match="3x3 block, block 0 of a stack of 1"):
+        cstar_norm(AlgebraElement(BlockAlgebra((3,)), [stack[2]]))
