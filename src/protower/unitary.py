@@ -48,8 +48,10 @@ DEFAULT_BRANCH_MARGIN = 1e-6
 def is_unitary(e: CoherentElement, horizon: int, tol: float = 1e-10) -> bool:
     """Whether both u u* and u* u are the identity at every level.
 
-    A positive answer attaches the norm certificate: unitaries have all
-    seminorms equal to 1, hence uniform norm 1.
+    A pure predicate: ``e`` may be shared, so nothing is written on it.
+    Unitaries have all seminorms equal to 1, hence uniform norm 1; a
+    caller that wants that certificate takes ``e.with_certificates(
+    unitary=True, norm_bound=1.0, norm_reason="unitary element")``.
     """
     for p in range(1, e.max_level(horizon) + 1):
         x = project(e, p)
@@ -58,10 +60,6 @@ def is_unitary(e: CoherentElement, horizon: int, tol: float = 1e-10) -> bool:
             return False
         if distance(x.adjoint() * x, one) > tol:
             return False
-    e.unitary = True
-    if e.norm_bound is None:
-        e.norm_bound = 1.0
-        e.norm_reason = "unitary element"
     return True
 
 

@@ -64,15 +64,24 @@ def test_is_unitary_basics():
     assert is_unitary(u, horizon=4)
 
 
-def test_is_unitary_attaches_norm_certificate():
+CERTIFICATE_FIELDS = (
+    "norm_bound", "norm_reason", "spectral_bound", "spectral_reason",
+    "selfadjoint", "unitary")
+
+
+def test_is_unitary_leaves_its_argument_untouched():
     t = small_tower()
     rng = stream(82, "unitary-cert")
-    u = coherent_unitary(t, 4, rng)
-    u.norm_bound = None
-    u.unitary = False
+    u = coherent_unitary(t, 4, rng).with_certificates(
+        norm_bound=None, unitary=False)
+    before = {name: getattr(u, name) for name in CERTIFICATE_FIELDS}
     assert is_unitary(u, horizon=4)
-    v = uniform_norm(u, horizon=4)
+    assert {name: getattr(u, name) for name in CERTIFICATE_FIELDS} == before
+    certified = u.with_certificates(
+        unitary=True, norm_bound=1.0, norm_reason="unitary element")
+    v = uniform_norm(certified, horizon=4)
     assert v.is_bounded and v.bound == pytest.approx(1.0)
+    assert v.certificate == "unitary element"
 
 
 def test_exp_selfadjoint_at_zero_is_identity():
