@@ -1,8 +1,10 @@
 """Command line surface: spec files, reports, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,13 +181,18 @@ def test_main_exit_codes(tmp_path):
 
 
 def test_main_subprocess_roundtrip(tmp_path):
+    # the child finds this checkout's package without an install
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     out1 = tmp_path / "a.jsonl"
     out2 = tmp_path / "b.jsonl"
     for out in (out1, out2):
         proc = subprocess.run(
             [sys.executable, "-m", "protower.cli", "gelfand-roundtrip",
              "--seed", "3", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert "checks passed" in proc.stdout
     assert out1.read_bytes() == out2.read_bytes()
