@@ -72,7 +72,6 @@ from .bounded_functor import (
 from .gelfand import (
     CfAlgebra,
     CharacterFunction,
-    CharacterSpace,
     CoveredSpace,
     DualityReport,
     cf_algebra,

@@ -354,6 +354,11 @@ def make_product_tower(
     return Tower(levels, maps, extend_rule=extend)
 
 
+_CERTIFICATE_FIELDS = (
+    "norm_bound", "norm_reason", "spectral_bound", "spectral_reason",
+    "selfadjoint", "unitary")
+
+
 class CoherentElement:
     """A compatible family of per-level elements of a tower.
 
@@ -458,22 +463,17 @@ class CoherentElement:
 
     def with_certificates(self, **updates) -> CoherentElement:
         """Copy with certificate fields replaced."""
+        for key in updates:
+            if key not in _CERTIFICATE_FIELDS:
+                raise StructuralError(f"unknown certificate field {key!r}")
+        fields = {key: getattr(self, key) for key in _CERTIFICATE_FIELDS}
         out = CoherentElement(
             self.tower,
             levels=self._explicit,
             generator=self._generator,
             coherence_tol=self.coherence_tol,
-            norm_bound=self.norm_bound,
-            norm_reason=self.norm_reason,
-            spectral_bound=self.spectral_bound,
-            spectral_reason=self.spectral_reason,
-            selfadjoint=self.selfadjoint,
-            unitary=self.unitary,
+            **(fields | updates),
         )
-        for key, value in updates.items():
-            if not hasattr(out, key):
-                raise StructuralError(f"unknown certificate field {key!r}")
-            setattr(out, key, value)
         out._cache = dict(self._cache)
         return out
 

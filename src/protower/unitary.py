@@ -140,39 +140,21 @@ def unitary_log(
     """Coherent self-adjoint logarithm of a unitary at a fixed branch.
 
     One fixed branch angle across all levels keeps the logarithm coherent.
-    The reassembly exp(i*log) is verified against u within 10*tol on all
-    materialized levels before returning. For a branch ray at least pi/3
-    from angle 0, uniform distance below 1 from the identity is the
-    classical sufficient condition for the margin check to pass; it is
-    measured only when that check fails, and an input that meets it then
-    raises AlgebraError instead of BranchError.
+    An eigenvalue within tol of the branch ray raises BranchError naming
+    the level. The reassembly exp(i*log) is verified against u within
+    10*tol on all materialized levels before returning.
     """
-    return _unitary_log(u, branch_angle, tol, horizon)[0]
+    return _verified_log(u, branch_angle, tol, horizon)[0]
 
 
 def _unitary_log(
     u: CoherentElement, branch_angle: float, tol: float, horizon: int | None
 ) -> tuple[CoherentElement, float]:
-    """``unitary_log`` and the reassembly residual it verified."""
+    """The logarithm at the branch and its reassembly residual, unjudged."""
     top = u.max_level(horizon if horizon is not None else u.tower.horizon)
-    levels = []
-    for p in range(1, top + 1):
-        try:
-            levels.append(
-                single_level_log(project(u, p), branch_angle, tol, level=p))
-        except BranchError:
-            # sufficient condition: sup ||1 - u|| < 1 keeps all eigenvalue
-            # arguments inside (-pi/3, pi/3), off every ray at least pi/3
-            # from angle 0
-            far_ray = abs(math.remainder(branch_angle, 2 * math.pi)) >= math.pi / 3
-            if far_ray and max(
-                    distance(project(u, q), u.tower.level(q).identity())
-                    for q in range(1, top + 1)) < 1.0:
-                raise AlgebraError(
-                    "distance to the identity is below 1 yet an eigenvalue "
-                    f"reached the branch ray at level {p}; the input is not "
-                    "unitary within tolerance")
-            raise
+    levels = [
+        single_level_log(project(u, p), branch_angle, tol, level=p)
+        for p in range(1, top + 1)]
     log = CoherentElement(
         u.tower,
         levels=levels,
@@ -183,7 +165,14 @@ def _unitary_log(
         spectral_bound=max(abs(branch_angle - 2 * math.pi), abs(branch_angle)),
         spectral_reason="arguments lie in the branch window",
     )
-    worst = _reassembly_residual((log,), u, top)
+    return log, _reassembly_residual((log,), u, top)
+
+
+def _verified_log(
+    u: CoherentElement, branch_angle: float, tol: float, horizon: int | None
+) -> tuple[CoherentElement, float]:
+    """``_unitary_log``; a reassembly residual above 10*tol raises."""
+    log, worst = _unitary_log(u, branch_angle, tol, horizon)
     if worst > 10 * tol:
         raise AlgebraError(
             f"logarithm reassembly residual {worst:.3e} exceeds {10 * tol:.3e}")
@@ -303,7 +292,7 @@ def identity_component_check(
             ray_distance(complex(math.cos(t), math.sin(t)), theta)
             for t in args)
         if margin >= branch_margin:
-            log, residual = _unitary_log(u, theta, tol, top)
+            log, residual = _verified_log(u, theta, tol, top)
             if residual <= tol:
                 return ExpFactorization(
                     target=u, factors=(log,), residual=residual, horizon=top,
@@ -315,7 +304,7 @@ def identity_component_check(
             "no branch ray separates the spectrum; eigenvalue arguments: "
             f"{np.sort(args)}")
     half_tol = min(tol, gap_margin / 2)
-    best_effort, _ = _unitary_log(u, gap_mid, half_tol, top)
+    best_effort, _ = _verified_log(u, gap_mid, half_tol, top)
     half = CoherentElement(
         u.tower,
         levels=[0.5 * project(best_effort, p) for p in range(1, top + 1)],
@@ -331,7 +320,7 @@ def identity_component_check(
         raise AlgebraError(
             "splitting failed to open a branch gap; eigenvalue arguments "
             f"of the remainder: {np.sort(_level_args(w, top))}")
-    log_w, _ = _unitary_log(w, w_branch, tol, top)
+    log_w, _ = _verified_log(w, w_branch, tol, top)
     factors = (log_w, half)
     residual = _reassembly_residual(factors, u, top)
     if residual > tol:

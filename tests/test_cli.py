@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from protower.cli import COMMANDS, bundled_spec_path, main, run
-from protower.core_algebra import StructuralError, distance
+from protower.core_algebra import AlgebraError, StructuralError, distance
 from protower.report import RunReport, emit_trace
 from protower.specfile import SpecFile, load_specfile, parse_complex, parse_matrix
 from protower.tower import project
@@ -133,6 +133,22 @@ def test_unitary_log_residual_is_the_reassembly(spec):
         for p in range(1, u.max_level(cfg["horizon"]) + 1))
     assert record.passed
     assert record.details["residual"] == expected
+
+
+def test_unitary_log_record_fails_on_a_bad_reassembly(spec, monkeypatch):
+    import protower.unitary
+
+    monkeypatch.setattr(
+        protower.unitary, "_reassembly_residual", lambda *args: 1.0)
+    report = run("unitary-log", spec, {})
+    [record] = report.records
+    assert record.name == "unitary-log"
+    assert not record.passed
+    assert record.details["residual"] == 1.0
+    cfg = report.config
+    with pytest.raises(AlgebraError, match="reassembly residual"):
+        unitary_log(spec.element(cfg["element"]), cfg["branch"],
+                    tol=cfg["tol"], horizon=cfg["horizon"])
 
 
 def test_run_unknown_command(spec):

@@ -28,21 +28,20 @@ def test_character_space_single_level():
     # one level with two 1x1 blocks: two characters
     t1 = Tower([BlockAlgebra((1, 1))], [])
     cs = character_space(t1, 1)
-    assert len(cs.union) == 2
+    assert cs.points == ("chi0", "chi1")
 
 
 def test_character_space_growing_chain():
     t = make_product_tower(lambda k: 1, 4)
     cs = character_space(t, 4)
-    assert len(cs.union) == 4
+    assert len(cs.points) == 4
     for p in range(1, 5):
-        assert len(cs.level_points[p - 1]) == p
-    # each new level adds exactly one newborn character
-    births = dict(cs.birth_level)
-    assert sorted(births.values()) == [1, 2, 3, 4]
+        assert len(cs.chain[p - 1]) == p
+    # each new level adds exactly one newborn character, ids in birth order
+    assert [cs.first_appearance(c) for c in range(4)] == [1, 2, 3, 4]
     # injections are inclusions of id sets
-    for lo, hi in zip(cs.family, cs.family[1:]):
-        assert lo <= hi
+    for lo, hi in zip(cs.chain, cs.chain[1:]):
+        assert set(lo) <= set(hi)
 
 
 def test_character_space_requires_commutative():
@@ -61,9 +60,8 @@ def test_character_space_with_repeated_block():
     t = Tower([a1, a2], [cmap])
     cs = character_space(t, 2)
     # the level-1 character survives as block 1 of level 2; block 0 is new
-    assert cs.level_points[0] == (0,)
-    assert cs.level_points[1][1] == 0
-    assert len(cs.union) == 2
+    assert cs.chain == ((0,), (1, 0))
+    assert cs.points == ("chi0", "chi1")
 
 
 def test_evaluation_constant_one():
@@ -78,8 +76,8 @@ def test_evaluation_newborn_value():
     e = diag_sequence_element(t, lambda k: float(k))
     ev = evaluation_iso(t, e, 5)
     cs = ev.space
-    for cid, born in cs.birth_level:
-        assert ev.at(cid) == pytest.approx(born)
+    for cid in range(len(cs.points)):
+        assert ev.at(cid) == pytest.approx(cs.first_appearance(cid))
 
 
 def test_evaluation_seminorm_identity():
@@ -167,20 +165,25 @@ def test_tower_roundtrip_commutative():
 def test_tower_roundtrip_flags_catch_scrambled_points(monkeypatch):
     import protower.gelfand
 
-    cover = protower.gelfand._character_cover
+    build = protower.gelfand.cf_algebra
 
-    def scrambled(chars):
-        space, id_order = cover(chars)
-        return space, id_order[::-1]
+    def reversed_levels(space):
+        # each level's blocks in reverse chain order: the function tower is
+        # isomorphic, but block j no longer stands for point chain[p-1][j]
+        return build(CoveredSpace(
+            space.points, tuple(f[::-1] for f in space.chain)))
 
-    t = make_product_tower(lambda k: 1, 5)
-    monkeypatch.setattr(protower.gelfand, "_character_cover", scrambled)
-    # no probes: the structural flags alone must fail the report
-    report = duality_roundtrip(t, 5, 1e-12, stream(77, "scrambled"), probes=0)
-    assert not report.bijection_ok
-    assert not report.birth_levels_ok
-    assert not report.family_ok
-    assert not report.passed
+    monkeypatch.setattr(protower.gelfand, "cf_algebra", reversed_levels)
+    space = CoveredSpace(
+        tuple("abcde"), tuple(tuple(range(k)) for k in range(1, 6)))
+    for obj in (space, make_product_tower(lambda k: 1, 5)):
+        # no probes: the structural flags alone must fail the report
+        report = duality_roundtrip(
+            obj, 5, 1e-12, stream(77, "scrambled"), probes=0)
+        assert not report.bijection_ok
+        assert not report.birth_levels_ok
+        assert not report.family_ok
+        assert not report.passed
 
 
 def test_roundtrip_unbounded_seminorm_growth():

@@ -172,6 +172,19 @@ def test_generator_required_beyond_explicit_levels():
         project(e, 4)
 
 
+def test_with_certificates_accepts_only_certificate_fields():
+    t = make_product_tower(lambda k: 1, 3)
+    e = scalar_element(t, 2.0)
+    copy = e.with_certificates(norm_bound=3.0, unitary=True)
+    assert (copy.norm_bound, copy.unitary) == (3.0, True)
+    assert copy.tower is t and e.norm_bound == 2.0 and not e.unitary
+    # neither the tower nor a method can be swapped through the copy
+    for key, value in (("tower", make_product_tower(lambda k: 1, 2)),
+                       ("max_level", None), ("coherence_tol", 1.0)):
+        with pytest.raises(StructuralError, match=repr(key)):
+            e.with_certificates(**{key: value})
+
+
 def test_norm_monotone_along_chain():
     t = make_product_tower(lambda k: k, 5)
     rng = stream(24, "monotone")

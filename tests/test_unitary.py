@@ -8,7 +8,6 @@ import pytest
 
 from protower.calculus import seminorm, uniform_norm
 from protower.core_algebra import (
-    AlgebraError,
     BranchError,
     PreconditionError,
     cstar_norm,
@@ -160,16 +159,15 @@ def test_unitary_log_branch_error_and_rotation():
 
 @pytest.mark.parametrize("branch", [math.pi / 3, -math.pi / 3])
 def test_unitary_log_guard_at_branches_off_pi(branch):
-    # an eigenvalue 5e-7 inside the arc (-pi/3, pi/3) and within tol of the
-    # ray at +-pi/3: the distance to the identity is below 1, so the guard
-    # turns the branch error into an AlgebraError
+    # an exactly unitary eigenvalue 5e-7 inside the arc (-pi/3, pi/3) and
+    # within tol of the ray at +-pi/3: the branch error names the level,
+    # although the distance to the identity is below 1
     t = make_product_tower([1], 1, lazy=False)
     u = scalar_element(t, cmath.exp(1j * (branch - math.copysign(5e-7, branch))))
     assert distance(project(u, 1), t.level(1).identity()) < 1.0
-    with pytest.raises(AlgebraError, match="distance to the identity is below 1") as err:
+    with pytest.raises(BranchError, match="at level 1 is within"):
         unitary_log(u, branch, tol=1e-6, horizon=1)
-    assert not isinstance(err.value, BranchError)
-    # rays closer than pi/3 to angle 0 keep the plain branch error
+    # so does a ray closer than pi/3 to angle 0
     u = scalar_element(t, cmath.exp(0.9j))
     with pytest.raises(BranchError):
         unitary_log(u, 0.9, tol=1e-6, horizon=1)
