@@ -1,13 +1,15 @@
-"""Command line surface: configuration, dispatch and report emission.
+"""Command line surface: parameters, dispatch and report emission.
 
-Each command is one entry of ``suites.CHECKS``. ``run`` resolves the
-configuration (defaults, the spec's run directive, then flags), echoes it
-in the report header and turns an AlgebraError raised by a check into a
-failed record.
+``PARAMS`` gives every parameter its default, its type and its flag, and
+each ``suites.CHECKS`` entry names the parameters its check reads. A
+command takes flags for those only; ``run`` resolves them (defaults, the
+spec's run directive, then flags), converts each given value once with its
+type, echoes them in the report header and turns an AlgebraError raised by
+a check into a failed record.
 
 Exit codes: 0 when every check in the run passed, 1 when any check
 failed, 2 for configuration errors (unparsable files, unresolved names,
-invalid parameters).
+unknown flags or keys, invalid values).
 """
 
 from __future__ import annotations
@@ -17,24 +19,65 @@ import json
 import math
 import sys
 from importlib import resources
+from typing import Any, Callable, NamedTuple
 
 from .core_algebra import AlgebraError, StructuralError, TruncationError
 from .report import RunReport, emit_trace
 from .specfile import SpecFile, load_specfile
 from .suites import CHECKS, _error_record
 
-DEFAULTS = {
-    "horizon": 5,
-    "tol": 1e-10,
-    "cluster_tol": 1e-8,
-    "threshold": 1e6,
-    "probes": 50,
-    "seed": 7,
-    "branch": math.pi,
-    "trace_length": 50,
-}
-
 COMMANDS = tuple(CHECKS)
+
+
+def _int(value) -> int:
+    """An integer from a flag's text or a directive's value, not a float."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(value)
+    return int(value)
+
+
+def _level(value) -> int:
+    level = _int(value)
+    if level < 1:
+        raise ValueError(value)
+    return level
+
+
+def _list_of(item):
+    """Comma-separated text or a list, converted item by item."""
+    return lambda value: [
+        item(v) for v in (value.split(",") if isinstance(value, str) else value)]
+
+
+class Param(NamedTuple):
+    default: Any
+    type: Callable  # raises TypeError or ValueError on a bad value
+    flag: str
+    help: str | None = None
+
+
+PARAMS = {
+    "element": Param(None, str, "--element"),
+    "tower": Param(None, str, "--tower"),
+    "space": Param(None, str, "--space"),
+    "blocks": Param(None, _list_of(_int), "--blocks",
+                    "comma-separated 0-based block indices"),
+    "kernel_levels": Param(None, _list_of(_int), "--kernel-level",
+                           "a seminorm kernel level; repeat for more"),
+    "horizon": Param(5, _level, "--horizon"),
+    "tol": Param(1e-10, float, "--tol"),
+    "cluster_tol": Param(1e-8, float, "--cluster-tol"),
+    "threshold": Param(1e6, float, "--threshold"),
+    "probes": Param(50, _int, "--probes"),
+    "seed": Param(7, _int, "--seed"),
+    "trace_length": Param(50, _int, "--trace-length"),
+    "branch": Param(math.pi, float, "--branch"),
+    "function": Param(None, str, "--function", "poly, squash, expi or arg"),
+    "index": Param(1, _int, "--index"),
+    "t": Param(1.0, float, "--t"),
+    "coeffs": Param(None, _list_of(float), "--coeffs",
+                    "comma-separated coefficients, constant first"),
+}
 
 
 def bundled_spec_path() -> str:
@@ -42,34 +85,39 @@ def bundled_spec_path() -> str:
 
 
 def _resolve_config(command: str, spec: SpecFile, overrides: dict) -> dict:
-    cfg = dict(DEFAULTS)
-    cfg.update(spec.run_defaults(command))
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
-    cfg["command"] = command
+    """The command's parameters from defaults, directive and overrides; an
+    undeclared key or an unconvertible value raises StructuralError."""
+    if command not in CHECKS:
+        raise StructuralError(f"unknown command {command!r}")
+    cfg = {key: PARAMS[key].default for key in CHECKS[command][1]}
+    for source, given in (("run directive", spec.run_defaults(command)),
+                          ("flags", overrides)):
+        for key, value in given.items():
+            if key not in cfg:
+                raise StructuralError(
+                    f"{command} takes no parameter {key!r} ({source})")
+            try:
+                if value is not None:
+                    cfg[key] = PARAMS[key].type(value)
+            except (TypeError, ValueError):
+                raise StructuralError(
+                    f"{command}: invalid {key} {value!r} ({source})") from None
     return cfg
-
-
-_CONFIG_KEYS = (
-    "spec", "horizon", "tol", "cluster_tol", "threshold", "probes", "seed",
-    "branch", "trace_length", "element", "tower", "space", "blocks",
-    "kernel_levels", "function", "index", "t", "coeffs",
-)
 
 
 def run(command: str, spec: SpecFile, overrides: dict) -> RunReport:
     """Run one command's checks against a parsed spec file."""
-    if command not in CHECKS:
-        raise StructuralError(f"unknown command {command!r}")
     cfg = _resolve_config(command, spec, overrides)
-    echo = {k: cfg[k] for k in _CONFIG_KEYS if cfg.get(k) is not None}
-    echo["spec"] = spec.origin
     try:
-        records = CHECKS[command](spec, cfg)
-    except (StructuralError, TruncationError):
+        records = CHECKS[command][0](spec, cfg)
+    except TruncationError:
         raise
+    except StructuralError as exc:
+        raise StructuralError(f"{command}: {exc}") from None
     except AlgebraError as exc:
         records = [_error_record(command, exc)]
-    return RunReport(command=command, config=echo, records=records)
+    return RunReport(
+        command=command, config={**cfg, "spec": spec.origin}, records=records)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,41 +129,22 @@ def _build_parser() -> argparse.ArgumentParser:
             "factorizations."),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--spec", default=None, help="tower description file")
-        p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="write the JSONL report here")
-        p.add_argument("--threshold", type=float, default=None)
-        p.add_argument("--probes", type=int, default=None)
-        p.add_argument("--element", default=None)
-        p.add_argument("--tower", default=None)
-        p.add_argument("--space", default=None)
-        p.add_argument("--blocks", default=None,
-                       help="comma-separated 0-based block indices")
-        p.add_argument("--kernel-level", action="append", type=int,
-                       dest="kernel_levels")
-        p.add_argument("--branch", type=float, default=None)
-        p.add_argument("--function", default=None,
-                       choices=("poly", "squash", "expi", "arg"))
-        p.add_argument("--index", type=int, default=None)
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--coeffs", default=None)
+    for name, (_, declared) in CHECKS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("--spec", help="tower description file")
+        p.add_argument("--out", help="write the JSONL report here")
+        for key in declared:
+            p.add_argument(
+                PARAMS[key].flag, dest=key, help=PARAMS[key].help,
+                action="append" if key == "kernel_levels" else "store")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {
-        key: getattr(args, key, None)
-        for key in _CONFIG_KEYS if key != "spec"}
-    if overrides.get("blocks") is not None:
-        overrides["blocks"] = [int(b) for b in str(args.blocks).split(",")]
+    overrides = {key: getattr(args, key) for key in CHECKS[args.command][1]}
     try:
-        spec_path = args.spec or bundled_spec_path()
-        spec = load_specfile(spec_path)
+        spec = load_specfile(args.spec or bundled_spec_path())
         report = run(args.command, spec, overrides)
     except json.JSONDecodeError as exc:
         print(f"spec parse error at line {exc.lineno}, column {exc.colno}: "

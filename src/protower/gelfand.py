@@ -135,12 +135,14 @@ def evaluation_iso(
     evaluation is a *-homomorphism and the level seminorm equals the max
     modulus over the level's characters.
     """
-    space = character_space(tower, horizon)
-    values = []
-    for p in range(1, horizon + 1):
-        x = project(e, p)
-        values.append(tuple(complex(b[0, 0]) for b in x.blocks))
-    return CharacterFunction(space, tuple(values))
+    return _evaluate(character_space(tower, horizon), e)
+
+
+def _evaluate(space: CoveredSpace, e: CoherentElement) -> CharacterFunction:
+    """``evaluation_iso`` on a character space built once by the caller."""
+    return CharacterFunction(space, tuple(
+        tuple(complex(b[0, 0]) for b in project(e, p).blocks)
+        for p in range(1, space.horizon + 1)))
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,7 @@ def _same_space(a: CoveredSpace, b: CoveredSpace) -> tuple[bool, bool, bool]:
 
 
 def _space_residual(
-    space: CoveredSpace, cf: CfAlgebra, rng, probes: int
+    space: CoveredSpace, cf: CfAlgebra, chars: CoveredSpace, rng, probes: int
 ) -> float:
     """Largest error of evaluating random functions on the points."""
     max_residual = 0.0
@@ -232,7 +234,7 @@ def _space_residual(
             i: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             for i in range(len(space.points))}
         f = cf.element_from_values(lambda i, t=table: t[i])
-        ev = evaluation_iso(cf.tower, f, space.horizon)
+        ev = _evaluate(chars, f)
         for p in range(1, space.horizon + 1):
             for j, value in enumerate(ev.restriction(p)):
                 max_residual = max(
@@ -251,7 +253,7 @@ def _tower_residual(
     for _ in range(probes):
         e = coherent_from_top(
             tower, random_element(tower.level(horizon), rng), horizon)
-        back = cf.element_from_values(evaluation_iso(tower, e, horizon).at)
+        back = cf.element_from_values(_evaluate(cf.space, e).at)
         for p in range(1, horizon + 1):
             orig = project(e, p)
             rebuilt = project(back, p)
@@ -281,9 +283,10 @@ def duality_roundtrip(obj, horizon: int, tol: float, rng, probes: int = 100):
         raise PreconditionError(
             "duality_roundtrip needs a CoveredSpace or a commutative Tower")
     cf = cf_algebra(space)
-    flags = _same_space(space, character_space(cf.tower, space.horizon))
+    chars = character_space(cf.tower, space.horizon)
+    flags = _same_space(space, chars)
     if kind == "space":
-        residual = _space_residual(space, cf, rng, probes)
+        residual = _space_residual(space, cf, chars, rng, probes)
     else:
         residual = _tower_residual(obj, cf, horizon, rng, probes)
     return DualityReport(kind, *flags, residual, probes, tol)

@@ -1,5 +1,5 @@
 """Tower description files: JSON-shaped definitions of towers, elements,
-homomorphisms, covered spaces and run directives.
+covered spaces and run directives.
 
 Complex scalars are [re, im] pairs and matrices are row-major nested
 arrays of such pairs, so a block is entries[row][col] = [re, im] and an
@@ -20,11 +20,9 @@ from .core_algebra import (
 )
 from .gelfand import CoveredSpace
 from .tower import (
-    BlockMap,
     CoherentElement,
     ConnectingMap,
     Tower,
-    TowerHomomorphism,
     diag_sequence_element,
     make_product_tower,
     scalar_element,
@@ -33,6 +31,8 @@ from .tower import (
 from .unitary import exp_selfadjoint
 
 __all__ = ["SpecFile", "load_specfile", "parse_complex", "parse_matrix"]
+
+SECTIONS = ("towers", "elements", "spaces", "runs")
 
 
 def parse_complex(value) -> complex:
@@ -68,6 +68,9 @@ class SpecFile:
     def __init__(self, data: dict, origin: str = "<memory>"):
         if not isinstance(data, dict):
             raise StructuralError("the top level of a spec file is an object")
+        for section in data:
+            if section not in SECTIONS:
+                raise StructuralError(f"unknown spec section {section!r}")
         self.origin = origin
         self._towers_raw = {
             _require(t, "name", "a tower entry"): t
@@ -75,13 +78,20 @@ class SpecFile:
         self._elements_raw = {
             _require(e, "name", "an element entry"): e
             for e in data.get("elements", [])}
-        self._homs_raw = {
-            _require(h, "name", "a homomorphism entry"): h
-            for h in data.get("homomorphisms", [])}
         self._spaces_raw = {
             _require(s, "name", "a space entry"): s
             for s in data.get("spaces", [])}
-        self.runs = list(data.get("runs", []))
+        self._runs: dict[str, dict] = {}
+        for run in data.get("runs", []):
+            command = _require(run, "command", "a run directive")
+            if not isinstance(command, str):
+                raise StructuralError(
+                    f"a run directive's command is a name, not {command!r}")
+            if command in self._runs:
+                raise StructuralError(
+                    f"two run directives for command {command!r}")
+            self._runs[command] = {
+                k: v for k, v in run.items() if k != "command"}
         self._towers: dict[str, Tower] = {}
         self._elements: dict[str, CoherentElement] = {}
         self._validate_references()
@@ -98,18 +108,6 @@ class SpecFile:
                 if ref not in self._elements_raw:
                     raise StructuralError(
                         f"element {name!r} references unknown element {ref!r}")
-        for name, h in self._homs_raw.items():
-            for side in ("source", "target"):
-                t = _require(h, side, f"homomorphism {name!r}")
-                if t not in self._towers_raw:
-                    raise StructuralError(
-                        f"homomorphism {name!r} references unknown tower {t!r}")
-        for run in self.runs:
-            _require(run, "command", "a run directive")
-            horizon = run.get("horizon", 1)
-            if not isinstance(horizon, int) or horizon < 1:
-                raise StructuralError(
-                    f"run directive {run['command']!r} has horizon {horizon!r}")
 
     # -- towers -------------------------------------------------------------
 
@@ -203,33 +201,6 @@ class SpecFile:
         raise StructuralError(
             f"element {name!r} has unknown generator kind {kind!r}")
 
-    # -- homomorphisms --------------------------------------------------------
-
-    def homomorphism(self, name: str) -> TowerHomomorphism:
-        if name not in self._homs_raw:
-            raise StructuralError(f"unknown homomorphism {name!r}")
-        raw = self._homs_raw[name]
-        source = self.tower(raw["source"])
-        target = self.tower(raw["target"])
-        maps = []
-        for p, level in enumerate(raw.get("level_maps", []), start=1):
-            routes: list = [None] * target.level(p).num_blocks
-            for route in _require(level, "routes", f"homomorphism {name!r}"):
-                j = int(_require(route, "target_block", f"{name!r} route"))
-                s = int(_require(route, "source_block", f"{name!r} route"))
-                conj = route.get("conjugator", "identity")
-                u = None if conj == "identity" else parse_matrix(conj)
-                if not 0 <= j < len(routes):
-                    raise StructuralError(
-                        f"homomorphism {name!r} level {p}: no target block {j}")
-                routes[j] = (s, u)
-            maps.append(BlockMap(source.level(p), target.level(p), tuple(routes)))
-        if not maps:
-            raise StructuralError(f"homomorphism {name!r} has no level maps")
-        return TowerHomomorphism(
-            source, target, maps,
-            continuous=bool(raw.get("continuous", True)))
-
     # -- spaces ---------------------------------------------------------------
 
     def space(self, name: str) -> CoveredSpace:
@@ -245,10 +216,8 @@ class SpecFile:
     # -- run directives -------------------------------------------------------
 
     def run_defaults(self, command: str) -> dict:
-        for run in self.runs:
-            if run.get("command") == command:
-                return dict(run)
-        return {}
+        """The command's run directive without its ``command`` key."""
+        return dict(self._runs.get(command, {}))
 
 
 def load_specfile(path) -> SpecFile:

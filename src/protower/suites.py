@@ -1,11 +1,14 @@
 """The check registry: every command's checks and the bundled suites.
 
 ``CHECKS`` maps each command name, in the order the command line lists
-them, to a function ``(spec, cfg) -> list[CheckRecord]``; ``cfg`` is the
-resolved configuration. ``paper-examples`` and ``selftest`` run the suites
-below, which also back the acceptance tests. A rule that decides a report's
-pass is a property of that report type, so the command line, the suites and
-the tests judge each check the same way.
+them, to ``(check, params)``: a function ``(spec, cfg) ->
+list[CheckRecord]`` and the names of the parameters it reads. ``cfg``
+holds exactly those names, typed by ``cli.PARAMS`` (None where a name has
+no default and was not given). ``paper-examples`` and ``selftest`` read
+only the seed: they run the suites below, whose sizes are fixed and which
+also back the acceptance tests. A rule that decides a report's pass is a
+property of that report type, so the command line, the suites and the
+tests judge each check the same way.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .core_algebra import (
     spectral_radius,
     spectrum,
 )
-from .gelfand import duality_roundtrip
+from .gelfand import _evaluate, character_space, duality_roundtrip
 from .randomness import (
     random_element,
     random_normal,
@@ -65,15 +68,12 @@ __all__ = [
 
 
 def _need(cfg: dict, key: str):
-    value = cfg.get(key)
-    if value is None:
-        raise StructuralError(
-            f"command {cfg['command']!r} needs {key!r} (flag or run directive)")
-    return value
+    if cfg[key] is None:
+        raise StructuralError(f"needs {key!r} (flag or run directive)")
+    return cfg[key]
 
 
 def _constant_selector(tower, blocks, horizon):
-    blocks = [int(b) for b in blocks]
     return [
         frozenset(b for b in blocks if 0 <= b < tower.level(p).num_blocks)
         for p in range(1, horizon + 1)]
@@ -82,18 +82,13 @@ def _constant_selector(tower, blocks, horizon):
 def _make_function(cfg):
     kind = _need(cfg, "function")
     if kind == "squash":
-        return RationalSquash(int(cfg.get("index", 1)))
+        return RationalSquash(cfg["index"])
     if kind == "expi":
-        return ExpI(float(cfg.get("t", 1.0)))
+        return ExpI(cfg["t"])
     if kind == "arg":
-        return PrincipalArg(float(cfg["branch"]))
+        return PrincipalArg(cfg["branch"])
     if kind == "poly":
-        coeffs = cfg.get("coeffs")
-        if coeffs is None:
-            raise StructuralError("funcalc with 'poly' needs --coeffs")
-        if isinstance(coeffs, str):
-            coeffs = [float(c) for c in coeffs.split(",")]
-        return Polynomial.in_z(coeffs)
+        return Polynomial.in_z(_need(cfg, "coeffs"))
     raise StructuralError(f"unknown function kind {kind!r}")
 
 
@@ -106,13 +101,13 @@ def _error_record(command: str, exc: Exception) -> CheckRecord:
 
 def _check_norm(spec, cfg) -> list[CheckRecord]:
     e = spec.element(_need(cfg, "element"))
-    v = uniform_norm(e, int(cfg["horizon"]), float(cfg["threshold"]))
+    v = uniform_norm(e, cfg["horizon"], cfg["threshold"])
     return [CheckRecord("uniform-norm", "norm", True, asdict(v))]
 
 
 def _check_spectrum(spec, cfg) -> list[CheckRecord]:
     e = spec.element(_need(cfg, "element"))
-    rep = pro_spectrum(e, int(cfg["horizon"]), float(cfg["cluster_tol"]))
+    rep = pro_spectrum(e, cfg["horizon"], cfg["cluster_tol"])
     return [CheckRecord(
         "pro-spectrum", "spectrum", True,
         {"points": list(rep.points), "radius": rep.radius,
@@ -121,7 +116,7 @@ def _check_spectrum(spec, cfg) -> list[CheckRecord]:
 
 def _check_bounded(spec, cfg) -> list[CheckRecord]:
     e = spec.element(_need(cfg, "element"))
-    v = uniform_norm(e, int(cfg["horizon"]), float(cfg["threshold"]))
+    v = uniform_norm(e, cfg["horizon"], cfg["threshold"])
     # bounded_part admits the element exactly when this verdict is bounded
     return [CheckRecord(
         "bounded-part", "bounded", True,
@@ -131,10 +126,10 @@ def _check_bounded(spec, cfg) -> list[CheckRecord]:
 def _check_funcalc(spec, cfg) -> list[CheckRecord]:
     e = spec.element(_need(cfg, "element"))
     f = _make_function(cfg)
-    horizon = int(cfg["horizon"])
+    horizon = cfg["horizon"]
     lifted = lift_function(e, f)
     norms = [seminorm(lifted, p) for p in range(1, lifted.max_level(horizon) + 1)]
-    rep = pro_spectrum(lifted, horizon, float(cfg["cluster_tol"]))
+    rep = pro_spectrum(lifted, horizon, cfg["cluster_tol"])
     return [CheckRecord(
         "functional-calculus", "funcalc", True,
         {"function": type(f).__name__, "level_norms": norms,
@@ -143,15 +138,14 @@ def _check_funcalc(spec, cfg) -> list[CheckRecord]:
 
 def _check_exact(spec, cfg) -> list[CheckRecord]:
     tower = spec.tower(_need(cfg, "tower"))
-    horizon = min(int(cfg["horizon"]), tower.horizon)
+    horizon = min(cfg["horizon"], tower.horizon)
     finite = tower.finite_prefix(horizon)
     dec = closed_ideal(finite, _constant_selector(
         finite, _need(cfg, "blocks"), horizon))
     rep = check_exactness(
-        dec.inclusion, dec.quotient_map, probes=int(cfg["probes"]),
-        horizon=horizon, tol=float(cfg["tol"]),
-        rng=stream(int(cfg["seed"]), "check-exact"),
-        trace_length=int(cfg["trace_length"]))
+        dec.inclusion, dec.quotient_map, probes=cfg["probes"],
+        horizon=horizon, tol=cfg["tol"], rng=stream(cfg["seed"], "check-exact"),
+        trace_length=cfg["trace_length"])
     return [
         CheckRecord(
             "exactness", "check-exact", rep.exact,
@@ -168,46 +162,44 @@ def _check_exact(spec, cfg) -> list[CheckRecord]:
 
 def _check_quotient_iso(spec, cfg) -> list[CheckRecord]:
     tower = spec.tower(_need(cfg, "tower"))
-    horizon = min(int(cfg["horizon"]), tower.horizon)
-    tol = float(cfg["tol"])
+    horizon = min(cfg["horizon"], tower.horizon)
+    tol, seed, probes = cfg["tol"], cfg["seed"], cfg["probes"]
     rep = quotient_iso_check(
         tower, _constant_selector(tower, _need(cfg, "blocks"), horizon),
-        horizon=horizon, tol=tol, rng=stream(int(cfg["seed"]), "quotient-iso"),
-        probes=int(cfg["probes"]))
+        horizon=horizon, tol=tol, rng=stream(seed, "quotient-iso"),
+        probes=probes)
     records = [CheckRecord(
         "block-ideal-quotient-iso", "quotient-iso", rep.passed,
         {"max_residual": rep.max_residual})]
-    for p in cfg.get("kernel_levels") or []:
+    for p in cfg["kernel_levels"] or []:
         rep = kernel_quotient_check(
-            tower, int(p), horizon=horizon, tol=tol,
-            rng=stream(int(cfg["seed"]), f"kernel-{p}"),
-            probes=int(cfg["probes"]))
+            tower, p, horizon=horizon, tol=tol,
+            rng=stream(seed, f"kernel-{p}"), probes=probes)
         records.append(CheckRecord(
             f"seminorm-kernel-quotient-p{p}", "quotient-iso", rep.passed,
-            {"level": int(p), "max_residual": rep.max_residual}))
+            {"level": p, "max_residual": rep.max_residual}))
     return records
 
 
 def _check_gelfand(spec, cfg) -> list[CheckRecord]:
-    if not (cfg.get("space") or cfg.get("tower")):
-        raise StructuralError(
-            "gelfand-roundtrip needs a space or a commutative tower")
-    probes, tol = int(cfg["probes"]), float(cfg["tol"])
+    if not (cfg["space"] or cfg["tower"]):
+        raise StructuralError("needs a space or a commutative tower")
+    probes, tol = cfg["probes"], cfg["tol"]
     records = []
-    if cfg.get("space"):
+    if cfg["space"]:
         space = spec.space(cfg["space"])
         rep = duality_roundtrip(
-            space, space.horizon, tol,
-            stream(int(cfg["seed"]), "gelfand-space"), probes)
+            space, space.horizon, tol, stream(cfg["seed"], "gelfand-space"),
+            probes)
         records.append(CheckRecord(
             "covered-space-roundtrip", "gelfand-roundtrip", rep.passed,
             {"max_residual": rep.max_residual, "bijection_ok": rep.bijection_ok,
              "family_ok": rep.family_ok}))
-    if cfg.get("tower"):
+    if cfg["tower"]:
         tower = spec.tower(cfg["tower"])
         rep = duality_roundtrip(
-            tower, min(int(cfg["horizon"]), tower.horizon), tol,
-            stream(int(cfg["seed"]), "gelfand-tower"), probes)
+            tower, min(cfg["horizon"], tower.horizon), tol,
+            stream(cfg["seed"], "gelfand-tower"), probes)
         records.append(CheckRecord(
             "commutative-tower-roundtrip", "gelfand-roundtrip", rep.passed,
             {"max_residual": rep.max_residual}))
@@ -216,9 +208,7 @@ def _check_gelfand(spec, cfg) -> list[CheckRecord]:
 
 def _check_unitary_log(spec, cfg) -> list[CheckRecord]:
     e = spec.element(_need(cfg, "element"))
-    horizon = int(cfg["horizon"])
-    tol = float(cfg["tol"])
-    branch = float(cfg["branch"])
+    horizon, tol, branch = cfg["horizon"], cfg["tol"], cfg["branch"]
     log, residual = _unitary_log(e, branch, tol, horizon)
     return [CheckRecord(
         "unitary-log", "unitary-log", residual <= 10 * tol,
@@ -229,8 +219,7 @@ def _check_unitary_log(spec, cfg) -> list[CheckRecord]:
 
 def _check_exp_factor(spec, cfg) -> list[CheckRecord]:
     e = spec.element(_need(cfg, "element"))
-    fact = identity_component_check(
-        e, int(cfg["horizon"]), tol=float(cfg["tol"]))
+    fact = identity_component_check(e, cfg["horizon"], tol=cfg["tol"])
     return [CheckRecord(
         "exponential-factorization", "exp-factor", fact.valid,
         {"factors": len(fact.factors), "residual": fact.residual,
@@ -347,13 +336,12 @@ def gelfand_records(spec, seed: int, probes: int = 100) -> list[CheckRecord]:
         "commutative-tower-roundtrip", "five-point-duality", rep_tower.passed,
         {"max_residual": rep_tower.max_residual}))
 
-    from .gelfand import evaluation_iso
-
+    chars = character_space(tower, 5)
     rng = stream(seed, "gelfand-seminorm")
     worst = 0.0
     for _ in range(probes):
         e = coherent_from_top(tower, random_element(tower.level(5), rng), 5)
-        ev = evaluation_iso(tower, e, 5)
+        ev = _evaluate(chars, e)
         for p in range(1, 6):
             worst = max(worst, abs(
                 seminorm(e, p) - max(abs(v) for v in ev.restriction(p))))
@@ -513,15 +501,22 @@ def selftest_records(spec, seed: int) -> list[CheckRecord]:
 
 
 CHECKS = {
-    "norm": _check_norm,
-    "spectrum": _check_spectrum,
-    "bounded": _check_bounded,
-    "funcalc": _check_funcalc,
-    "check-exact": _check_exact,
-    "quotient-iso": _check_quotient_iso,
-    "gelfand-roundtrip": _check_gelfand,
-    "unitary-log": _check_unitary_log,
-    "exp-factor": _check_exp_factor,
-    "paper-examples": lambda spec, cfg: paper_example_records(spec, int(cfg["seed"])),
-    "selftest": lambda spec, cfg: selftest_records(spec, int(cfg["seed"])),
+    "norm": (_check_norm, ("element", "horizon", "threshold")),
+    "spectrum": (_check_spectrum, ("element", "horizon", "cluster_tol")),
+    "bounded": (_check_bounded, ("element", "horizon", "threshold")),
+    "funcalc": (_check_funcalc, (
+        "element", "horizon", "cluster_tol", "function", "index", "t",
+        "branch", "coeffs")),
+    "check-exact": (_check_exact, (
+        "tower", "blocks", "horizon", "probes", "tol", "seed", "trace_length")),
+    "quotient-iso": (_check_quotient_iso, (
+        "tower", "blocks", "kernel_levels", "horizon", "probes", "tol", "seed")),
+    "gelfand-roundtrip": (_check_gelfand, (
+        "space", "tower", "horizon", "probes", "tol", "seed")),
+    "unitary-log": (_check_unitary_log, ("element", "horizon", "tol", "branch")),
+    "exp-factor": (_check_exp_factor, ("element", "horizon", "tol")),
+    "paper-examples": (
+        lambda spec, cfg: paper_example_records(spec, cfg["seed"]), ("seed",)),
+    "selftest": (
+        lambda spec, cfg: selftest_records(spec, cfg["seed"]), ("seed",)),
 }

@@ -8,7 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from protower.cli import COMMANDS, bundled_spec_path, main, run
+import protower.suites
+from protower.cli import (
+    COMMANDS,
+    PARAMS,
+    _build_parser,
+    _resolve_config,
+    bundled_spec_path,
+    main,
+    run,
+)
 from protower.core_algebra import AlgebraError, StructuralError, distance
 from protower.report import RunReport, emit_trace
 from protower.specfile import SpecFile, load_specfile, parse_complex, parse_matrix
@@ -19,6 +28,17 @@ from protower.unitary import exp_selfadjoint, unitary_log
 @pytest.fixture(scope="module")
 def spec():
     return load_specfile(bundled_spec_path())
+
+
+def bundled_data() -> dict:
+    return json.loads(Path(bundled_spec_path()).read_text())
+
+
+def with_directive(data: dict, command: str, **values) -> dict:
+    for directive in data["runs"]:
+        if directive["command"] == command:
+            directive.update(values)
+    return data
 
 
 def test_parse_complex_and_matrix():
@@ -41,8 +61,6 @@ def test_bundled_spec_resolves(spec):
     assert shift.spectral_bound == 0.0
     upair = spec.element("upair")
     assert upair.unitary
-    hom = spec.homomorphism("pair-collapse")
-    assert hom.level_map(1).is_surjective_form
     space = spec.space("five-chain")
     assert space.horizon == 5
 
@@ -216,14 +234,14 @@ def test_main_subprocess_roundtrip(tmp_path):
 
 def test_spectrum_clusters_with_cluster_tol(spec):
     # ramp's five eigenvalues lie 1/30 to 1/6 apart: a cluster_tol of 0.5
-    # chains them into one point, one of 1e-12 keeps them apart, and tol
-    # (set to the opposite extreme each time) must not matter.
+    # chains them into one point, one of 1e-12 keeps them apart, and tol,
+    # which spectrum does not read, is rejected.
     merged = run(
-        "spectrum", spec, {"element": "ramp", "horizon": 5,
-                           "tol": 1e-12, "cluster_tol": 0.5})
+        "spectrum", spec, {"element": "ramp", "horizon": 5, "cluster_tol": 0.5})
     apart = run(
-        "spectrum", spec, {"element": "ramp", "horizon": 5,
-                           "tol": 0.5, "cluster_tol": 1e-12})
+        "spectrum", spec, {"element": "ramp", "horizon": 5, "cluster_tol": 1e-12})
+    with pytest.raises(StructuralError, match="'tol'"):
+        run("spectrum", spec, {"element": "ramp", "tol": 0.5})
     assert merged.config["cluster_tol"] == 0.5
     assert len(merged.records[0].details["points"]) == 1
     assert len(apart.records[0].details["points"]) == 5
@@ -254,3 +272,104 @@ def test_quotient_iso_cli_flags(spec):
     assert report.all_passed
     names = [r.name for r in report.records]
     assert "seminorm-kernel-quotient-p2" in names
+
+
+class RecordingConfig(dict):
+    """A configuration that records every key a check reads."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_checks_read_exactly_their_declared_parameters(
+        spec, command, monkeypatch):
+    # the two suites read only the seed; their records are not needed here
+    monkeypatch.setattr(protower.suites, "paper_example_records",
+                        lambda spec, seed: [])
+    monkeypatch.setattr(protower.suites, "selftest_records",
+                        lambda spec, seed: [])
+    check, declared = protower.suites.CHECKS[command]
+    runs = [{}]
+    if command == "funcalc":
+        runs = [{"function": "squash"}, {"function": "expi"},
+                {"function": "arg"}, {"function": "poly", "coeffs": "0,1"}]
+    read = set()
+    for overrides in runs:
+        cfg = RecordingConfig(_resolve_config(command, spec, overrides))
+        check(spec, cfg)
+        read |= cfg.read
+    assert read == set(declared)
+
+
+def test_each_command_takes_only_its_declared_flags(capsys):
+    parser = _build_parser()
+    flags = 0
+    for command, (_, declared) in protower.suites.CHECKS.items():
+        assert set(declared) <= set(PARAMS)
+        for key, param in PARAMS.items():
+            if key in declared:
+                args = parser.parse_args([command, param.flag, "1"])
+                assert getattr(args, key) in ("1", ["1"])
+                flags += 1
+                continue
+            with pytest.raises(SystemExit) as exit_:
+                main([command, param.flag, "1"])
+            assert exit_.value.code == 2
+            assert param.flag in capsys.readouterr().err
+    assert flags == 46
+
+
+def test_bad_flag_value_exits_2(capsys):
+    assert main(["check-exact", "--blocks", "x"]) == 2
+    err = capsys.readouterr().err
+    assert "check-exact" in err and "blocks" in err and "'x'" in err
+    assert main(["norm", "--horizon", "0"]) == 2
+    assert "horizon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["x", 2.5])
+def test_bad_directive_value_exits_2(tmp_path, capsys, value):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        with_directive(bundled_data(), "check-exact", probes=value)))
+    assert main(["check-exact", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "check-exact" in err and "probes" in err and repr(value) in err
+
+
+def test_undeclared_keys_raise(spec):
+    with pytest.raises(StructuralError, match="norm .*'probes'"):
+        run("norm", spec, {"probes": 3})
+    extra = SpecFile(with_directive(bundled_data(), "norm", probes=3))
+    with pytest.raises(StructuralError, match="norm .*'probes'"):
+        run("norm", extra, {})
+
+
+def test_duplicate_run_directives_are_rejected():
+    data = bundled_data()
+    data["runs"].append({"command": "norm", "element": "shift"})
+    with pytest.raises(StructuralError, match="'norm'"):
+        SpecFile(data)
+    with pytest.raises(StructuralError, match="'norm'"):
+        SpecFile({"runs": [{"command": ["norm"]}]})
+
+
+def test_unknown_spec_section_exits_2(tmp_path, capsys):
+    data = bundled_data()
+    data["homomorphisms"] = []
+    with pytest.raises(StructuralError, match="homomorphisms"):
+        SpecFile(data)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    assert main(["norm", "--spec", str(path)]) == 2
+    assert "homomorphisms" in capsys.readouterr().err

@@ -201,3 +201,39 @@ def test_roundtrip_unbounded_seminorm_growth():
     assert v.bound == pytest.approx(6.0)
     norms = [seminorm(f, p) for p in range(1, 7)]
     assert norms == pytest.approx(list(range(1, 7)))
+
+
+def test_character_spaces_are_built_once_per_trip(monkeypatch):
+    import protower.gelfand
+    import protower.suites
+    from protower.cli import bundled_spec_path
+    from protower.specfile import load_specfile
+
+    calls = []
+    build = protower.gelfand.character_space
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(protower.gelfand, "character_space", counted)
+    monkeypatch.setattr(protower.suites, "character_space", counted)
+    space = CoveredSpace(
+        tuple("abcde"), tuple(tuple(range(k)) for k in range(1, 6)))
+    spec = load_specfile(bundled_spec_path())
+
+    def count(run, probes):
+        calls.clear()
+        run(probes)
+        return len(calls)
+
+    trips = {
+        "space": lambda n: duality_roundtrip(space, 5, 1e-12, stream(1, "s"), n),
+        "tower": lambda n: duality_roundtrip(
+            make_product_tower(lambda k: 1, 5), 5, 1e-12, stream(1, "t"), n),
+        "suite": lambda n: protower.suites.gelfand_records(spec, 1, probes=n),
+    }
+    for name, trip in trips.items():
+        assert count(trip, 1) == count(trip, 7), name
+    # the tower trip builds the tower's and cf_algebra's spaces, once each
+    assert count(trips["tower"], 7) == 2

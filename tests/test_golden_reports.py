@@ -18,6 +18,7 @@ import pytest
 
 from protower.cli import COMMANDS, bundled_spec_path, run
 from protower.specfile import load_specfile
+from protower.suites import CHECKS
 
 REPORTS = pathlib.Path(__file__).parent / "data" / "reports"
 SPEC_TOKEN = "<bundled-spec>"
@@ -33,6 +34,12 @@ def render(command: str) -> bytes:
 def test_bundled_report_bytes(command):
     expected = (REPORTS / f"{command}.jsonl").read_bytes()
     assert render(command) == expected
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_header_echoes_the_declared_parameters(command):
+    header = json.loads((REPORTS / f"{command}.jsonl").read_text().splitlines()[0])
+    assert set(header["config"]) == set(CHECKS[command][1]) | {"spec"}
 
 
 if __name__ == "__main__":
