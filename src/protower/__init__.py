@@ -35,6 +35,7 @@ from .core_algebra import (
 )
 from .tower import (
     BlockMap,
+    Certificates,
     CoherenceReport,
     CoherentElement,
     ConnectingMap,

@@ -103,8 +103,8 @@ def apply_functor(
         e,
         norm_bound=verdict.bound,
         norm_reason="contractive image of a certified bounded element",
-        selfadjoint=e.selfadjoint,
-        unitary=e.unitary and unital,
+        selfadjoint=e.certificates.selfadjoint,
+        unitary=e.certificates.unitary and unital,
     )
 
 
@@ -463,12 +463,9 @@ def quotient_iso_check(
     tower.ensure(horizon)
     finite = tower.finite_prefix(horizon)
     dec = closed_ideal(finite, block_selector)
-    if dec.ideal is None:
-        # zero ideal: the quotient is the algebra itself, the map is the
-        # identity, every residual vanishes identically
-        return QuotientIsoReport((0.0,) * probes, 0.0, tol)
-    if dec.quotient is None:
-        # full ideal: both sides are the zero algebra
+    if dec.ideal is None or dec.quotient is None:
+        # zero ideal: the map is the identity; full ideal: both sides are
+        # the zero algebra. Either way every residual vanishes identically
         return QuotientIsoReport((0.0,) * probes, 0.0, tol)
     quo = dec.quotient_map.level_map(horizon)
     sel = dec.selectors[horizon - 1]

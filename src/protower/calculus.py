@@ -32,7 +32,7 @@ from .core_algebra import (
     cluster_points,
     cstar_norm,
 )
-from .tower import CoherentElement, project
+from .tower import Certificates, CoherentElement, project
 
 __all__ = [
     "BoundednessVerdict",
@@ -234,13 +234,9 @@ def uniform_norm(
     divergence threshold is an unboundedness witness; otherwise the result
     is unknown-at-truncation with the largest seminorm seen.
     """
-    cert = None
-    if e.norm_bound is not None:
-        cert = (e.norm_bound, e.norm_reason or "declared norm bound")
-    elif e.unitary:
-        cert = (1.0, "unitary element")
     return _sup_verdict(
-        e, horizon, divergence_threshold, _norm_bracket, _block_norm, cert)
+        e, horizon, divergence_threshold, _norm_bracket, _block_norm,
+        e.certificates.norm())
 
 
 def is_spectrally_bounded(
@@ -249,13 +245,10 @@ def is_spectrally_bounded(
     threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
 ) -> BoundednessVerdict:
     """Same classification applied to the spectral radius over levels."""
-    cert = None
-    if e.spectral_bound is not None:
-        cert = (e.spectral_bound, e.spectral_reason or "declared spectral bound")
-    elif e.unitary:
-        cert = (1.0, "unitary element")
     # radius brackets are exact, so nothing is left to settle
-    return _sup_verdict(e, horizon, threshold, _radius_bracket, None, cert)
+    return _sup_verdict(
+        e, horizon, threshold, _radius_bracket, None,
+        e.certificates.spectral())
 
 
 def pro_spectrum(
@@ -307,32 +300,22 @@ def lift_function(
         x = apply_function(project(e, p), f, tol)
         return [x.blocks[i] for i in indices]
 
-    norm_bound = None
-    reason = None
-    if e.selfadjoint:
-        radius = e.norm_bound if e.norm_bound is not None else math.inf
+    cert = e.certificates
+    bound = reason = None
+    if cert.selfadjoint:
+        radius = cert.norm_bound if cert.norm_bound is not None else math.inf
         sup = f.selfadjoint_bound(radius)
         if sup is not None and math.isfinite(sup):
-            norm_bound = sup
+            bound = sup
             reason = (
                 f"sup of {type(f).__name__} over the certified spectral "
                 "enclosure")
-    unitary = e.selfadjoint and isinstance(f, ExpI)
+    unitary = cert.selfadjoint and isinstance(f, ExpI)
     if unitary:
-        norm_bound = 1.0
-        reason = "exponential of a self-adjoint element"
-    result_selfadjoint = e.selfadjoint and _real_on_reals(f)
-    return CoherentElement(
-        e.tower,
-        generator=gen,
-        coherence_tol=e.coherence_tol,
-        norm_bound=norm_bound,
-        norm_reason=reason,
-        spectral_bound=norm_bound,
-        spectral_reason=reason,
-        selfadjoint=result_selfadjoint,
-        unitary=unitary,
-    )
+        bound, reason = 1.0, "exponential of a self-adjoint element"
+    return CoherentElement(e.tower, generator=gen, certificates=Certificates.bounded(
+        bound, reason,
+        selfadjoint=cert.selfadjoint and _real_on_reals(f), unitary=unitary))
 
 
 def _real_on_reals(f: FunctionDescriptor) -> bool:
@@ -360,15 +343,11 @@ def coherent_selfadjoint_parts(
                 for b in e.level_blocks(p, indices)]
         return gen
 
-    kwargs = dict(coherence_tol=e.coherence_tol, selfadjoint=True)
-    if e.norm_bound is not None:
-        kwargs.update(
-            norm_bound=e.norm_bound,
-            norm_reason="self-adjoint part of a certified bounded element",
-            spectral_bound=e.norm_bound,
-            spectral_reason="self-adjoint part of a certified bounded element",
-        )
+    bound = e.certificates.norm_bound
+    reason = "self-adjoint part of a certified bounded element"
+    cert = Certificates.bounded(
+        bound, None if bound is None else reason, selfadjoint=True)
     return (
-        CoherentElement(e.tower, generator=part(0), **kwargs),
-        CoherentElement(e.tower, generator=part(1), **kwargs),
+        CoherentElement(e.tower, generator=part(0), certificates=cert),
+        CoherentElement(e.tower, generator=part(1), certificates=cert),
     )

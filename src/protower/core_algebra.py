@@ -702,7 +702,6 @@ def apply_function(
     x: AlgebraElement,
     f: FunctionDescriptor,
     tol: float = DEFAULT_NORMALITY_TOL,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> AlgebraElement:
     """Continuous functional calculus f(x) at a single level.
 

@@ -20,6 +20,7 @@ from .core_algebra import (
 )
 from .gelfand import CoveredSpace
 from .tower import (
+    Certificates,
     CoherentElement,
     ConnectingMap,
     Tower,
@@ -62,15 +63,26 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise StructuralError(
+            f"{context} must be an object, not {type(value).__name__}")
+    return value
+
+
 class SpecFile:
     """A parsed tower description file with name resolution."""
 
     def __init__(self, data: dict, origin: str = "<memory>"):
         if not isinstance(data, dict):
             raise StructuralError("the top level of a spec file is an object")
-        for section in data:
+        for section, entries in data.items():
             if section not in SECTIONS:
                 raise StructuralError(f"unknown spec section {section!r}")
+            if not (isinstance(entries, list)
+                    and all(isinstance(x, dict) for x in entries)):
+                raise StructuralError(
+                    f"spec section {section!r} must be a list of objects")
         self.origin = origin
         self._towers_raw = {
             _require(t, "name", "a tower entry"): t
@@ -97,13 +109,16 @@ class SpecFile:
         self._validate_references()
 
     def _validate_references(self):
+        for name, t in self._towers_raw.items():
+            _object(t.get("rule", {}), f"the rule of tower {name!r}")
         for name, e in self._elements_raw.items():
             tower = _require(e, "tower", f"element {name!r}")
             if tower not in self._towers_raw:
                 raise StructuralError(
                     f"element {name!r} references unknown tower {tower!r}")
-            gen = e.get("generator")
-            if gen and gen.get("kind") == "exp_of":
+            gen = _object(
+                e.get("generator", {}), f"the generator of element {name!r}")
+            if gen.get("kind") == "exp_of":
                 ref = _require(gen, "element", f"generator of {name!r}")
                 if ref not in self._elements_raw:
                     raise StructuralError(
@@ -177,9 +192,8 @@ class SpecFile:
                         f"{tuple(m.shape[0] for m in mats)} do not match "
                         f"{alg.block_sizes}")
                 levels.append(AlgebraElement(alg, mats))
-            return CoherentElement(
-                tower, levels=levels,
-                selfadjoint=bool(raw.get("selfadjoint", False)))
+            return CoherentElement(tower, levels=levels, certificates=Certificates(
+                selfadjoint=bool(raw.get("selfadjoint", False))))
         gen = _require(raw, "generator", f"element {name!r}")
         kind = _require(gen, "kind", f"generator of element {name!r}")
         if kind == "L_superdiagonal":

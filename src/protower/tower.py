@@ -9,6 +9,7 @@ explicit per-level data or as a lazy generator rule.
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -29,6 +30,7 @@ __all__ = [
     "BlockMap",
     "ConnectingMap",
     "Tower",
+    "Certificates",
     "CoherentElement",
     "TowerHomomorphism",
     "make_product_tower",
@@ -354,23 +356,66 @@ def make_product_tower(
     return Tower(levels, maps, extend_rule=extend)
 
 
-_CERTIFICATE_FIELDS = (
-    "norm_bound", "norm_reason", "spectral_bound", "spectral_reason",
-    "selfadjoint", "unitary")
+@dataclass(frozen=True)
+class Certificates:
+    """Analytic facts about a coherent element, one immutable value.
+
+    No finite truncation could establish them: a uniform norm bound and a
+    spectral radius bound, each with its reason, self-adjointness and
+    unitarity. ``norm()`` and ``spectral()`` turn them into a bound.
+    """
+
+    norm_bound: float | None = None
+    norm_reason: str | None = None
+    spectral_bound: float | None = None
+    spectral_reason: str | None = None
+    selfadjoint: bool = False
+    unitary: bool = False
+
+    @classmethod
+    def of(cls, **fields) -> Certificates:
+        """The value from keyword fields; an unknown key is named."""
+        for key in fields:
+            if key not in cls.__dataclass_fields__:
+                raise StructuralError(f"unknown certificate field {key!r}")
+        return cls(**fields)
+
+    @classmethod
+    def bounded(cls, bound: float | None, reason: str | None,
+                **flags) -> Certificates:
+        """Certificates whose norm and spectral bounds are one bound."""
+        return cls.of(
+            norm_bound=bound, norm_reason=reason,
+            spectral_bound=bound, spectral_reason=reason, **flags)
+
+    def norm(self) -> tuple[float, str] | None:
+        """The certified uniform norm bound and its reason, if any."""
+        if self.norm_bound is not None:
+            return self.norm_bound, self.norm_reason or "declared norm bound"
+        return (1.0, "unitary element") if self.unitary else None
+
+    def spectral(self) -> tuple[float, str] | None:
+        """The certified spectral radius bound and its reason, if any."""
+        if self.spectral_bound is not None:
+            return (self.spectral_bound,
+                    self.spectral_reason or "declared spectral bound")
+        return (1.0, "unitary element") if self.unitary else None
 
 
 class CoherentElement:
     """A compatible family of per-level elements of a tower.
 
-    Levels come either from an explicit list or from a generator rule.
-    A generator is a pure function ``gen(p, indices)`` that returns the
-    blocks of level p at the given 0-based block indices, in order, and
-    builds nothing else: ``materialize(p)`` asks it for every block of
-    level p, while ``level_blocks`` asks only for the blocks a caller
-    needs, such as the blocks born at level p. Optional certificates
-    carry analytic facts that no finite truncation could establish: a
-    uniform norm bound, a spectral radius bound, self-adjointness,
-    unitarity.
+    Levels come either from an explicit list or from a generator rule,
+    and live in one level store. An explicit list seeds the store and is
+    the element's top level; a generator's top level is the tower's,
+    none on a lazy tower. A generator is a pure function
+    ``gen(p, indices)`` that returns the blocks of level p at the given
+    0-based block indices, in order, and builds nothing else:
+    ``materialize(p)`` asks it for every block of level p, while
+    ``level_blocks`` asks only for the blocks a caller needs, such as the
+    blocks born at level p. ``certificates`` is one immutable
+    ``Certificates`` value; ``with_certificates`` makes a copy with
+    another.
     """
 
     def __init__(
@@ -379,47 +424,38 @@ class CoherentElement:
         levels=None,
         generator: Optional[
             Callable[[int, list[int]], Sequence[np.ndarray]]] = None,
-        coherence_tol: float = DEFAULT_COHERENCE_TOL,
-        norm_bound: float | None = None,
-        norm_reason: str | None = None,
-        spectral_bound: float | None = None,
-        spectral_reason: str | None = None,
-        selfadjoint: bool = False,
-        unitary: bool = False,
+        certificates: Certificates = Certificates(),
     ):
-        levels = list(levels) if levels is not None else None
         if (levels is None) == (generator is None):
             raise StructuralError(
                 "exactly one of explicit levels or a generator is required")
-        if levels is not None and not levels:
-            raise StructuralError("an explicit family needs at least one level")
         self.tower = tower
-        self.coherence_tol = float(coherence_tol)
-        self._explicit = levels
+        self._certificates = certificates
         self._generator = generator
         self._cache: dict[int, AlgebraElement] = {}
+        self._top = None if tower.is_lazy else tower.horizon
         self._lock = threading.Lock()
-        self.norm_bound = norm_bound
-        self.norm_reason = norm_reason
-        self.spectral_bound = spectral_bound
-        self.spectral_reason = spectral_reason
-        self.selfadjoint = bool(selfadjoint)
-        self.unitary = bool(unitary)
-        if self._explicit is not None:
-            for p, x in enumerate(self._explicit, start=1):
+        if levels is not None:
+            self._cache = dict(enumerate(levels, start=1))
+            self._top = len(self._cache)
+            if not self._cache:
+                raise StructuralError(
+                    "an explicit family needs at least one level")
+            for p, x in self._cache.items():
                 if x.parent != tower.level(p):
                     raise StructuralError(
                         f"explicit level {p} lives in the wrong algebra")
 
+    @property
+    def certificates(self) -> Certificates:
+        return self._certificates
+
     def _stored(self, p: int) -> AlgebraElement | None:
-        """Level p when it is explicit or already cached, else None."""
+        """Level p when it is already stored, else None."""
         if p < 1:
             raise PreconditionError(f"levels are 1-based, got {p}")
-        if self._explicit is not None:
-            if p > len(self._explicit):
-                raise TruncationError(
-                    f"level {p} beyond explicit horizon {len(self._explicit)}")
-            return self._explicit[p - 1]
+        if self._top is not None and p > self._top:
+            raise TruncationError(f"level {p} beyond top level {self._top}")
         return self._cache.get(p)
 
     def _generate(self, p: int, indices) -> list[np.ndarray]:
@@ -441,7 +477,7 @@ class CoherentElement:
         return out
 
     def materialize(self, p: int) -> AlgebraElement:
-        """Level p of the family; level data beyond an explicit list errors."""
+        """Level p of the family; a level past the top level errors."""
         x = self._stored(p)
         if x is None:
             alg = self.tower.level(p)
@@ -453,7 +489,7 @@ class CoherentElement:
     def level_blocks(self, p: int, indices) -> Sequence[np.ndarray]:
         """The blocks of level p at the given indices, in order.
 
-        A stored or cached level answers directly; otherwise the generator
+        A stored level answers directly; otherwise the generator
         builds only these blocks, and nothing is cached.
         """
         x = self._stored(p)
@@ -462,28 +498,15 @@ class CoherentElement:
         return [x.blocks[i] for i in indices]
 
     def with_certificates(self, **updates) -> CoherentElement:
-        """Copy with certificate fields replaced."""
-        for key in updates:
-            if key not in _CERTIFICATE_FIELDS:
-                raise StructuralError(f"unknown certificate field {key!r}")
-        fields = {key: getattr(self, key) for key in _CERTIFICATE_FIELDS}
-        out = CoherentElement(
-            self.tower,
-            levels=self._explicit,
-            generator=self._generator,
-            coherence_tol=self.coherence_tol,
-            **(fields | updates),
-        )
-        out._cache = dict(self._cache)
+        """Copy with certificate fields replaced, sharing the level store."""
+        out = copy.copy(self)
+        fields = vars(self.certificates) | updates
+        out._certificates = Certificates.of(**fields)
         return out
 
     def max_level(self, horizon: int) -> int:
         """Largest level <= horizon this element can produce."""
-        if self._explicit is not None:
-            return min(horizon, len(self._explicit))
-        if not self.tower.is_lazy:
-            return min(horizon, self.tower.horizon)
-        return horizon
+        return horizon if self._top is None else min(horizon, self._top)
 
 
 def project(e: CoherentElement, p: int) -> AlgebraElement:
@@ -506,7 +529,8 @@ def coherent_from_top(
     levels[q - 1] = top
     for p in range(q - 1, 0, -1):
         levels[p - 1] = tower.map(p).apply(levels[p])
-    return CoherentElement(tower, levels=levels, **certificates)
+    return CoherentElement(
+        tower, levels=levels, certificates=Certificates.of(**certificates))
 
 
 def scalar_element(tower: Tower, lam: complex) -> CoherentElement:
@@ -517,16 +541,10 @@ def scalar_element(tower: Tower, lam: complex) -> CoherentElement:
         sizes = tower.level(p).block_sizes
         return [lam * np.eye(sizes[i], dtype=complex) for i in indices]
 
-    return CoherentElement(
-        tower,
-        generator=gen,
-        norm_bound=abs(lam),
-        norm_reason="scalar multiple of the identity",
-        spectral_bound=abs(lam),
-        spectral_reason="scalar multiple of the identity",
+    return CoherentElement(tower, generator=gen, certificates=Certificates.bounded(
+        abs(lam), "scalar multiple of the identity",
         selfadjoint=(lam.imag == 0.0),
-        unitary=(abs(abs(lam) - 1.0) < 1e-15),
-    )
+        unitary=(abs(abs(lam) - 1.0) < 1e-15)))
 
 
 def _superdiagonal(n: int) -> np.ndarray:
@@ -548,12 +566,9 @@ def shift_element(tower: Tower) -> CoherentElement:
         sizes = tower.level(p).block_sizes
         return [_superdiagonal(sizes[i]) for i in indices]
 
-    return CoherentElement(
-        tower,
-        generator=gen,
+    return CoherentElement(tower, generator=gen, certificates=Certificates(
         spectral_bound=0.0,
-        spectral_reason="strictly upper triangular at every level",
-    )
+        spectral_reason="strictly upper triangular at every level"))
 
 
 def diag_sequence_element(
@@ -586,15 +601,8 @@ def diag_sequence_element(
     sa = None
     if not callable(values):
         sa = all(v.imag == 0.0 for v in table)
-    return CoherentElement(
-        tower,
-        generator=gen,
-        norm_bound=norm_bound,
-        norm_reason=norm_reason,
-        spectral_bound=norm_bound,
-        spectral_reason=norm_reason,
-        selfadjoint=bool(sa),
-    )
+    return CoherentElement(tower, generator=gen, certificates=Certificates.bounded(
+        norm_bound, norm_reason, selfadjoint=bool(sa)))
 
 
 @dataclass(frozen=True)
@@ -628,7 +636,8 @@ def check_coherence(e: CoherentElement, up_to: int) -> CoherenceReport:
         pushed = e.tower.map(p).apply(upper)
         residuals.append(distance(pushed, lower))
         scales.append(cstar_norm(upper))
-    return CoherenceReport(tuple(residuals), tuple(scales), e.coherence_tol)
+    return CoherenceReport(
+        tuple(residuals), tuple(scales), DEFAULT_COHERENCE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -689,8 +698,8 @@ class TowerHomomorphism:
                 indices, lambda sources: e.level_blocks(q, sources))
 
         return CoherentElement(
-            self.target, generator=gen, coherence_tol=e.coherence_tol,
-            **certificates)
+            self.target, generator=gen,
+            certificates=Certificates.of(**certificates))
 
     def compose(self, inner: TowerHomomorphism) -> TowerHomomorphism:
         """self o inner."""
@@ -766,19 +775,16 @@ def _sub_algebra(alg: BlockAlgebra, indices: list[int]) -> BlockAlgebra:
 def closed_ideal(tower: Tower, block_selector) -> IdealDecomposition:
     """Split a finite tower along a coherent per-level block selection.
 
-    ``block_selector`` gives, for each level (1-based), the set of 0-based
+    ``block_selector`` lists, for each level in order, the set of 0-based
     block indices spanning the ideal. Coherence demands that connecting
     maps route selected blocks to selected blocks and unselected ones to
     unselected ones; the first offending level is reported otherwise.
     """
     horizon = tower.horizon
-    if callable(block_selector):
-        selectors = [frozenset(block_selector(p)) for p in range(1, horizon + 1)]
-    else:
-        selectors = [frozenset(s) for s in block_selector]
-        if len(selectors) != horizon:
-            raise StructuralError(
-                f"selector covers {len(selectors)} levels, tower has {horizon}")
+    selectors = [frozenset(s) for s in block_selector]
+    if len(selectors) != horizon:
+        raise StructuralError(
+            f"selector covers {len(selectors)} levels, tower has {horizon}")
     for p, sel in enumerate(selectors, start=1):
         nb = tower.level(p).num_blocks
         if any(not 0 <= i < nb for i in sel):

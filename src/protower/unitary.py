@@ -28,7 +28,7 @@ from .core_algebra import (
     is_selfadjoint,
     ray_distance,
 )
-from .tower import CoherentElement, TowerHomomorphism, project
+from .tower import Certificates, CoherentElement, TowerHomomorphism, project
 
 __all__ = [
     "ExpFactorization",
@@ -51,7 +51,8 @@ def is_unitary(e: CoherentElement, horizon: int, tol: float = 1e-10) -> bool:
     A pure predicate: ``e`` may be shared, so nothing is written on it.
     Unitaries have all seminorms equal to 1, hence uniform norm 1; a
     caller that wants that certificate takes ``e.with_certificates(
-    unitary=True, norm_bound=1.0, norm_reason="unitary element")``.
+    unitary=True)``, whose ``certificates.norm()`` is then
+    ``(1.0, "unitary element")``.
     """
     for p in range(1, e.max_level(horizon) + 1):
         x = project(e, p)
@@ -82,16 +83,8 @@ def exp_selfadjoint(
         y = apply_function(x, ExpI(t), tol)
         return [y.blocks[i] for i in indices]
 
-    return CoherentElement(
-        a.tower,
-        generator=gen,
-        coherence_tol=a.coherence_tol,
-        norm_bound=1.0,
-        norm_reason="exponential of a self-adjoint element",
-        spectral_bound=1.0,
-        spectral_reason="exponential of a self-adjoint element",
-        unitary=True,
-    )
+    return CoherentElement(a.tower, generator=gen, certificates=Certificates.bounded(
+        1.0, "exponential of a self-adjoint element", unitary=True))
 
 
 def _branch_shift(args: np.ndarray, branch_angle: float) -> np.ndarray:
@@ -155,16 +148,9 @@ def _unitary_log(
     levels = [
         single_level_log(project(u, p), branch_angle, tol, level=p)
         for p in range(1, top + 1)]
-    log = CoherentElement(
-        u.tower,
-        levels=levels,
-        coherence_tol=u.coherence_tol,
-        selfadjoint=True,
-        norm_bound=max(abs(branch_angle - 2 * math.pi), abs(branch_angle)),
-        norm_reason="arguments lie in the branch window",
-        spectral_bound=max(abs(branch_angle - 2 * math.pi), abs(branch_angle)),
-        spectral_reason="arguments lie in the branch window",
-    )
+    log = CoherentElement(u.tower, levels=levels, certificates=Certificates.bounded(
+        max(abs(branch_angle - 2 * math.pi), abs(branch_angle)),
+        "arguments lie in the branch window", selfadjoint=True))
     return log, _reassembly_residual((log,), u, top)
 
 
@@ -228,9 +214,9 @@ class ExpFactorization:
             out = _exp_product(factors, tower, p)
             return [out.blocks[i] for i in indices]
 
-        return CoherentElement(
-            tower, generator=gen, unitary=True, norm_bound=1.0,
-            norm_reason="product of exponentials of self-adjoint elements")
+        return CoherentElement(tower, generator=gen, certificates=Certificates(
+            unitary=True, norm_bound=1.0,
+            norm_reason="product of exponentials of self-adjoint elements"))
 
 
 def _exp_product(factors, tower, p: int) -> AlgebraElement:
@@ -308,13 +294,12 @@ def identity_component_check(
     half = CoherentElement(
         u.tower,
         levels=[0.5 * project(best_effort, p) for p in range(1, top + 1)],
-        coherence_tol=u.coherence_tol,
-        selfadjoint=True)
+        certificates=Certificates(selfadjoint=True))
     unwind = exp_selfadjoint(half, -1.0)
     w_levels = [
         project(u, p) * project(unwind, p) for p in range(1, top + 1)]
-    w = CoherentElement(u.tower, levels=w_levels, unitary=True, norm_bound=1.0,
-                        norm_reason="product of unitaries")
+    w = CoherentElement(u.tower, levels=w_levels, certificates=Certificates(
+        unitary=True, norm_bound=1.0, norm_reason="product of unitaries"))
     w_branch, w_margin = largest_gap_branch(_level_args(w, top))
     if w_margin < branch_margin:
         raise AlgebraError(

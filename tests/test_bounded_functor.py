@@ -72,10 +72,10 @@ def test_bounded_part_unitary_scalar_shift():
     u = lift_function(h, ExpI(1.0))
     tagged = bounded_part(u, horizon=4)
     assert tagged is not None
-    assert tagged.norm_bound == pytest.approx(1.0)
+    assert tagged.certificates.norm_bound == pytest.approx(1.0)
 
     zero = bounded_part(scalar_element(t, 0.0), horizon=4)
-    assert zero is not None and zero.norm_bound == 0.0
+    assert zero is not None and zero.certificates.norm_bound == 0.0
 
     assert bounded_part(shift_element(t), horizon=40, threshold=20.0) is None
 
@@ -123,7 +123,7 @@ def test_functor_contractive_and_functorial():
     for _ in range(20):
         e = coherent_from_top(t, random_element(t.level(4), rng), 4)
         image = apply_functor(beta, e, horizon=4)
-        assert image.norm_bound <= uniform_norm(e, 4).bound + 1e-10
+        assert image.certificates.norm_bound <= uniform_norm(e, 4).bound + 1e-10
         observed = max(seminorm(image, p) for p in range(1, 5))
         assert observed <= uniform_norm(e, 4).bound + 1e-10
 

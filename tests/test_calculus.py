@@ -180,7 +180,7 @@ def test_lift_expi_gives_unitaries():
     e = coherent_from_top(
         t, random_selfadjoint(t.level(4), rng), 4, selfadjoint=True)
     u = lift_function(e, ExpI(1.0))
-    assert u.unitary
+    assert u.certificates.unitary
     for p in range(1, 5):
         up = project(u, p)
         assert distance(up * up.adjoint(), up.parent.identity()) <= 1e-12

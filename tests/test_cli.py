@@ -58,9 +58,9 @@ def test_bundled_spec_resolves(spec):
     assert set(spec.tower_names()) >= {
         "matrix-product", "flat-five", "wide-product", "pair"}
     shift = spec.element("shift")
-    assert shift.spectral_bound == 0.0
+    assert shift.certificates.spectral_bound == 0.0
     upair = spec.element("upair")
-    assert upair.unitary
+    assert upair.certificates.unitary
     space = spec.space("five-chain")
     assert space.horizon == 5
 
@@ -373,3 +373,21 @@ def test_unknown_spec_section_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["norm", "--spec", str(path)]) == 2
     assert "homomorphisms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, named", [
+    ({"towers": [5]}, "'towers'"),
+    ({"towers": {"name": "x"}}, "'towers'"),
+    ({"elements": [3]}, "'elements'"),
+    ({"towers": [{"name": "t", "rule": {"kind": "constant_commutative"}}],
+      "elements": [{"name": "e", "tower": "t", "generator": "oops"}]},
+     "generator of element 'e'"),
+    ({"towers": [{"name": "t", "rule": 5}]}, "rule of tower 't'"),
+])
+def test_malformed_spec_shape_exits_2(tmp_path, capsys, data, named):
+    with pytest.raises(StructuralError, match=named):
+        SpecFile(data)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    assert main(["norm", "--spec", str(path)]) == 2
+    assert named in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Inverse systems: connecting maps, coherent families, ideals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from protower.calculus import (
     DEFAULT_DIVERGENCE_THRESHOLD,
     BoundednessVerdict,
     coherent_selfadjoint_parts,
+    is_spectrally_bounded,
     lift_function,
     pro_spectrum,
     uniform_norm,
@@ -33,6 +35,7 @@ from protower.randomness import (
     stream,
 )
 from protower.tower import (
+    Certificates,
     ConnectingMap,
     CoherentElement,
     Tower,
@@ -176,13 +179,49 @@ def test_with_certificates_accepts_only_certificate_fields():
     t = make_product_tower(lambda k: 1, 3)
     e = scalar_element(t, 2.0)
     copy = e.with_certificates(norm_bound=3.0, unitary=True)
-    assert (copy.norm_bound, copy.unitary) == (3.0, True)
-    assert copy.tower is t and e.norm_bound == 2.0 and not e.unitary
+    assert (copy.certificates.norm_bound, copy.certificates.unitary) == (3.0, True)
+    assert (copy.tower is t and e.certificates.norm_bound == 2.0
+            and not e.certificates.unitary)
     # neither the tower nor a method can be swapped through the copy
     for key, value in (("tower", make_product_tower(lambda k: 1, 2)),
                        ("max_level", None), ("coherence_tol", 1.0)):
         with pytest.raises(StructuralError, match=repr(key)):
             e.with_certificates(**{key: value})
+
+
+def test_certificate_rules():
+    # lazy towers, so that exhausting the tower cannot stand in for a
+    # certificate
+    t = make_product_tower(lambda k: k, 4)
+    top = random_unitary(t.level(4), stream(31, "unitary-certificate"))
+    v = uniform_norm(coherent_from_top(t, top, 4, unitary=True), 4)
+    assert (v.status, v.bound, v.certificate) == (
+        "bounded", 1.0, "unitary element")
+    v = is_spectrally_bounded(scalar_element(t, 3.0), 4)
+    assert (v.status, v.bound, v.certificate) == (
+        "bounded", 3.0, "scalar multiple of the identity")
+    assert Certificates(norm_bound=2.0).norm() == (2.0, "declared norm bound")
+    assert Certificates(spectral_bound=0.5).spectral() == (
+        0.5, "declared spectral bound")
+    assert Certificates().norm() is None and Certificates().spectral() is None
+    with pytest.raises(StructuralError, match="'bogus'"):
+        Certificates.of(bogus=1.0)
+
+
+def test_certificates_are_one_immutable_value():
+    t = make_product_tower(lambda k: k, 4)
+    e = shift_element(t)
+    before = e.certificates
+    level = e.materialize(3)
+    copy = e.with_certificates(norm_bound=5.0)
+    assert e.certificates is before and before.norm_bound is None
+    assert copy.certificates.norm_bound == 5.0
+    assert copy.certificates.spectral_bound == before.spectral_bound
+    assert copy.materialize(3) is level
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        before.norm_bound = 1.0
+    with pytest.raises(AttributeError):
+        e.certificates = Certificates()
 
 
 def test_norm_monotone_along_chain():
@@ -278,7 +317,7 @@ def test_diag_sequence_element():
     x = project(e, 4)
     values = [b[0, 0].real for b in x.blocks]
     assert values == pytest.approx([1 / 2, 2 / 3, 3 / 4, 4 / 5])
-    assert e.selfadjoint
+    assert e.certificates.selfadjoint
 
 
 def test_block_map_matrix_matches_apply():
