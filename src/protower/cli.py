@@ -3,9 +3,9 @@
 ``PARAMS`` gives every parameter its default, its type and its flag, and
 each ``suites.CHECKS`` entry names the parameters its check reads. A
 command takes flags for those only; ``run`` resolves them (defaults, the
-spec's run directive, then flags), converts each given value once with its
-type, echoes them in the report header and turns an AlgebraError raised by
-a check into a failed record.
+spec's run directive, then flags) through ``specfile.fields``, the checker
+of every spec entry, echoes them in the report header and turns an
+AlgebraError raised by a check into a failed record.
 
 Exit codes: 0 when every check in the run passed, 1 when any check
 failed, 2 for configuration errors (unparsable files, unresolved names,
@@ -23,7 +23,7 @@ from typing import Any, Callable, NamedTuple
 
 from .core_algebra import AlgebraError, StructuralError, TruncationError
 from .report import RunReport, emit_trace
-from .specfile import SpecFile, load_specfile
+from .specfile import SpecFile, fields, load_specfile
 from .suites import CHECKS, _error_record
 
 COMMANDS = tuple(CHECKS)
@@ -89,20 +89,11 @@ def _resolve_config(command: str, spec: SpecFile, overrides: dict) -> dict:
     undeclared key or an unconvertible value raises StructuralError."""
     if command not in CHECKS:
         raise StructuralError(f"unknown command {command!r}")
-    cfg = {key: PARAMS[key].default for key in CHECKS[command][1]}
-    for source, given in (("run directive", spec.run_defaults(command)),
-                          ("flags", overrides)):
-        for key, value in given.items():
-            if key not in cfg:
-                raise StructuralError(
-                    f"{command} takes no parameter {key!r} ({source})")
-            try:
-                if value is not None:
-                    cfg[key] = PARAMS[key].type(value)
-            except (TypeError, ValueError):
-                raise StructuralError(
-                    f"{command}: invalid {key} {value!r} ({source})") from None
-    return cfg
+    schema = {key: PARAMS[key] for key in CHECKS[command][1]}
+    cfg = fields(spec.run_defaults(command), schema,
+                 f"the {command} run directive")
+    return fields(overrides, {k: p._replace(default=cfg[k])
+                              for k, p in schema.items()}, f"{command} (flags)")
 
 
 def run(command: str, spec: SpecFile, overrides: dict) -> RunReport:
@@ -145,6 +136,8 @@ def main(argv=None) -> int:
     overrides = {key: getattr(args, key) for key in CHECKS[args.command][1]}
     try:
         spec = load_specfile(args.spec or bundled_spec_path())
+        for command in spec.runs:
+            _resolve_config(command, spec, {})
         report = run(args.command, spec, overrides)
     except json.JSONDecodeError as exc:
         print(f"spec parse error at line {exc.lineno}, column {exc.colno}: "

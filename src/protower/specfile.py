@@ -3,21 +3,20 @@ covered spaces and run directives.
 
 Complex scalars are [re, im] pairs and matrices are row-major nested
 arrays of such pairs, so a block is entries[row][col] = [re, im] and an
-explicit element level is a list of blocks. All references are by name and
-resolved eagerly; the offending name is reported when resolution fails.
+explicit element level is a list of blocks. ``ENTRIES``, ``RULES`` and
+``GENERATORS`` give each field its type and default; every entry is
+checked against them and built when the file loads.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .core_algebra import (
-    AlgebraElement,
-    BlockAlgebra,
-    StructuralError,
-)
+from .core_algebra import AlgebraError, BlockAlgebra, StructuralError
 from .gelfand import CoveredSpace
 from .tower import (
     Certificates,
@@ -31,22 +30,53 @@ from .tower import (
 )
 from .unitary import exp_selfadjoint
 
-__all__ = ["SpecFile", "load_specfile", "parse_complex", "parse_matrix"]
+__all__ = ["SpecFile", "fields", "load_specfile", "parse_complex", "parse_matrix"]
 
-SECTIONS = ("towers", "elements", "spaces", "runs")
+REQUIRED = object()
+
+
+class Field(NamedTuple):
+    """``type`` returns the value or raises TypeError or ValueError; a dict
+    of kinds to fields makes an object whose ``kind`` picks its fields."""
+
+    type: Callable | dict
+    default: Any = REQUIRED
+
+
+def _json(kind: type, test: Callable = lambda value: True) -> Callable:
+    """A JSON value of ``kind`` that passes ``test``; a bool is no number,
+    and a float field takes an int as a float."""
+    accepted = (int, float) if kind is float else kind
+
+    def check(value):
+        if (isinstance(value, bool) != (kind is bool)
+                or not isinstance(value, accepted) or not test(value)):
+            raise TypeError(value)
+        return kind(value)
+    return check
+
+
+def _list_of(item: Callable) -> Callable:
+    return lambda value: [item(v) for v in _json(list)(value)]
+
+
+NAME, FLOAT, BOOL = _json(str), _json(float), _json(bool)
+POSITIVE = _json(int, lambda n: n >= 1)
 
 
 def parse_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
-        return complex(value[0], value[1])
-    raise StructuralError(f"a complex scalar must be [re, im]; got {value!r}")
+    try:
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            return complex(*map(FLOAT, value))
+        return complex(FLOAT(value))
+    except TypeError:
+        raise StructuralError(
+            f"a complex scalar must be [re, im]; got {value!r}") from None
 
 
 def parse_matrix(rows) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(row, list) for row in rows)):
         raise StructuralError("a matrix literal must be a nonempty list of rows")
     parsed = [[parse_complex(v) for v in row] for row in rows]
     n = len(parsed)
@@ -57,186 +87,161 @@ def parse_matrix(rows) -> np.ndarray:
     return np.array(parsed, dtype=complex)
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise StructuralError(f"{context} is missing the {key!r} field")
-    return mapping[key]
+RULES = {
+    "product_matrix": {},
+    "constant_commutative": {},
+    "custom_table": {"block_sizes": Field(_list_of(_list_of(POSITIVE)))},
+}
+GENERATORS = {
+    "L_superdiagonal": {},
+    "scalar": {"value": Field(parse_complex)},
+    "diag_sequence": {"values": Field(_list_of(parse_complex)),
+                      "bound": Field(FLOAT, None)},
+    "exp_of": {"element": Field(NAME), "t": Field(FLOAT, 1.0)},
+}
+ENTRIES = {
+    "towers": {"name": Field(NAME), "rule": Field(RULES),
+               "horizon": Field(POSITIVE, 1)},
+    "elements": {"name": Field(NAME), "tower": Field(NAME),
+                 "generator": Field(GENERATORS)},
+    "spaces": {"name": Field(NAME), "points": Field(_list_of(NAME)),
+               "chain": Field(_list_of(_list_of(_json(int))))},
+}
+SECTIONS = {section: Field(_list_of(_json(dict)), [])
+        for section in ("towers", "elements", "spaces", "runs")}
+# an element given by its levels instead of a generator
+EXPLICIT = {"name": Field(NAME), "tower": Field(NAME),
+            "levels": Field(_list_of(_list_of(parse_matrix))),
+            "selfadjoint": Field(BOOL, False)}
 
 
-def _object(value, context: str) -> dict:
-    if not isinstance(value, dict):
+def fields(raw: dict, schema: dict, where: str) -> dict:
+    """Each field of ``schema`` from ``raw``, checked by its type, or its
+    default when absent or null. A missing required key, a bad value or an
+    undeclared key raises StructuralError naming ``where`` and the key."""
+    if not isinstance(raw, dict):
         raise StructuralError(
-            f"{context} must be an object, not {type(value).__name__}")
-    return value
+            f"{where} must be an object, not {reprlib.repr(raw)}")
+    out = {}
+    for key, field in schema.items():
+        value = raw.get(key)
+        if value is None:
+            if field.default is REQUIRED:
+                raise StructuralError(f"{where} is missing the {key!r} field")
+            out[key] = field.default
+        elif isinstance(field.type, dict):
+            out[key] = _kind_fields(value, field.type, f"the {key} of {where}")
+        else:
+            try:
+                out[key] = field.type(value)
+            except (TypeError, ValueError, StructuralError) as exc:
+                why = f" ({exc})" if isinstance(exc, StructuralError) else ""
+                raise StructuralError(f"{where}: bad value for {key!r}: "
+                                      f"{reprlib.repr(value)}{why}") from None
+    for key, value in raw.items():
+        if key not in schema:
+            raise StructuralError(
+                f"{where} takes no {key!r} (given {reprlib.repr(value)})")
+    return out
+
+
+def _kind_fields(raw, kinds: dict, where: str) -> dict:
+    """The fields of an object whose ``kind`` names its schema in ``kinds``."""
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    schema = kinds.get(kind, {}) if isinstance(kind, str) else {}
+    return fields(raw, {"kind": Field(_json(str, kinds.__contains__)), **schema},
+                  where)
 
 
 class SpecFile:
-    """A parsed tower description file with name resolution."""
+    """A spec file whose towers, elements and spaces are built at load."""
 
     def __init__(self, data: dict, origin: str = "<memory>"):
-        if not isinstance(data, dict):
-            raise StructuralError("the top level of a spec file is an object")
-        for section, entries in data.items():
-            if section not in SECTIONS:
-                raise StructuralError(f"unknown spec section {section!r}")
-            if not (isinstance(entries, list)
-                    and all(isinstance(x, dict) for x in entries)):
-                raise StructuralError(
-                    f"spec section {section!r} must be a list of objects")
+        data = fields(data, SECTIONS, "the spec file")
         self.origin = origin
-        self._towers_raw = {
-            _require(t, "name", "a tower entry"): t
-            for t in data.get("towers", [])}
-        self._elements_raw = {
-            _require(e, "name", "an element entry"): e
-            for e in data.get("elements", [])}
-        self._spaces_raw = {
-            _require(s, "name", "a space entry"): s
-            for s in data.get("spaces", [])}
-        self._runs: dict[str, dict] = {}
-        for run in data.get("runs", []):
-            command = _require(run, "command", "a run directive")
-            if not isinstance(command, str):
-                raise StructuralError(
-                    f"a run directive's command is a name, not {command!r}")
-            if command in self._runs:
-                raise StructuralError(
-                    f"two run directives for command {command!r}")
-            self._runs[command] = {
-                k: v for k, v in run.items() if k != "command"}
         self._towers: dict[str, Tower] = {}
         self._elements: dict[str, CoherentElement] = {}
-        self._validate_references()
-
-    def _validate_references(self):
-        for name, t in self._towers_raw.items():
-            _object(t.get("rule", {}), f"the rule of tower {name!r}")
-        for name, e in self._elements_raw.items():
-            tower = _require(e, "tower", f"element {name!r}")
-            if tower not in self._towers_raw:
+        self._spaces: dict[str, CoveredSpace] = {}
+        for section, built, build in (
+                ("towers", self._towers, self._build_tower),
+                ("elements", self._elements, self._build_element),
+                ("spaces", self._spaces, self._build_space)):
+            for i, raw in enumerate(data[section], start=1):
+                name = raw.get("name")
+                where = (f"{section[:-1]} {name!r}" if isinstance(name, str)
+                         else f"{section} entry {i}")
+                explicit = section == "elements" and "levels" in raw
+                f = fields(raw, EXPLICIT if explicit else ENTRIES[section], where)
+                try:
+                    built[name] = build(f)
+                except AlgebraError as exc:
+                    raise StructuralError(f"{where}: {exc}") from None
+        self.runs: dict[str, dict] = {}
+        for run in data["runs"]:  # each run is a copy, so pop leaves data whole
+            command = run.pop("command", None)
+            if not isinstance(command, str) or command in self.runs:
                 raise StructuralError(
-                    f"element {name!r} references unknown tower {tower!r}")
-            gen = _object(
-                e.get("generator", {}), f"the generator of element {name!r}")
-            if gen.get("kind") == "exp_of":
-                ref = _require(gen, "element", f"generator of {name!r}")
-                if ref not in self._elements_raw:
-                    raise StructuralError(
-                        f"element {name!r} references unknown element {ref!r}")
+                    f"each run directive names its own command, not {command!r}")
+            self.runs[command] = run
 
-    # -- towers -------------------------------------------------------------
+    def _build_tower(self, f: dict) -> Tower:
+        rule = f["rule"]
+        if rule["kind"] == "custom_table":
+            levels = [BlockAlgebra(tuple(s)) for s in rule["block_sizes"]]
+            return Tower(levels, [
+                ConnectingMap(hi, lo, tuple((j, None) for j in range(lo.num_blocks)))
+                for lo, hi in zip(levels, levels[1:])])
+        width = (lambda k: k) if rule["kind"] == "product_matrix" else (lambda k: 1)
+        return make_product_tower(width, f["horizon"], lazy=True)
+
+    def _build_element(self, f: dict) -> CoherentElement:
+        tower = _named(self._towers, f["tower"], "tower")
+        if "levels" in f:
+            levels = [tower.level(p).element(blocks)
+                      for p, blocks in enumerate(f["levels"], start=1)]
+            return CoherentElement(tower, levels=levels, certificates=Certificates(
+                selfadjoint=f["selfadjoint"]))
+        gen = f["generator"]
+        if gen["kind"] == "L_superdiagonal":
+            return shift_element(tower)
+        if gen["kind"] == "scalar":
+            return scalar_element(tower, gen["value"])
+        if gen["kind"] == "diag_sequence":
+            bound = gen["bound"]
+            return diag_sequence_element(
+                tower, gen["values"], norm_bound=bound,
+                norm_reason=None if bound is None else "declared bound")
+        base = _named(self._elements, gen["element"], "earlier element")
+        return exp_selfadjoint(base, gen["t"])
+
+    def _build_space(self, f: dict) -> CoveredSpace:
+        return CoveredSpace(f["points"], f["chain"])
 
     def tower_names(self):
-        return sorted(self._towers_raw)
+        return sorted(self._towers)
 
     def tower(self, name: str) -> Tower:
-        if name not in self._towers_raw:
-            raise StructuralError(f"unknown tower {name!r}")
-        if name not in self._towers:
-            self._towers[name] = self._build_tower(self._towers_raw[name])
-        return self._towers[name]
-
-    def _build_tower(self, raw: dict) -> Tower:
-        rule = _require(raw, "rule", f"tower {raw['name']!r}")
-        kind = _require(rule, "kind", f"rule of tower {raw['name']!r}")
-        if kind == "product_matrix":
-            horizon = int(raw.get("horizon", 1))
-            return make_product_tower(lambda k: k, horizon, lazy=True)
-        if kind == "constant_commutative":
-            horizon = int(raw.get("horizon", 1))
-            return make_product_tower(lambda k: 1, horizon, lazy=True)
-        if kind == "custom_table":
-            table = _require(rule, "block_sizes", f"tower {raw['name']!r}")
-            sizes = [tuple(int(n) for n in level) for level in table]
-            if not sizes:
-                raise StructuralError(
-                    f"tower {raw['name']!r} has an empty block size table")
-            for lo, hi in zip(sizes, sizes[1:]):
-                if hi[: len(lo)] != lo:
-                    raise StructuralError(
-                        f"tower {raw['name']!r}: each level must extend the "
-                        "previous one as a prefix")
-            levels = [BlockAlgebra(s) for s in sizes]
-            maps = []
-            for lo_alg, hi_alg in zip(levels, levels[1:]):
-                routes = tuple(
-                    (j, None) for j in range(lo_alg.num_blocks))
-                maps.append(ConnectingMap(hi_alg, lo_alg, routes))
-            return Tower(levels, maps)
-        raise StructuralError(
-            f"tower {raw['name']!r} has unknown rule kind {kind!r}")
-
-    # -- elements -----------------------------------------------------------
-
-    def element_names(self):
-        return sorted(self._elements_raw)
+        return _named(self._towers, name, "tower")
 
     def element(self, name: str) -> CoherentElement:
-        if name not in self._elements_raw:
-            raise StructuralError(f"unknown element {name!r}")
-        if name not in self._elements:
-            self._elements[name] = self._build_element(self._elements_raw[name])
-        return self._elements[name]
-
-    def _build_element(self, raw: dict) -> CoherentElement:
-        tower = self.tower(raw["tower"])
-        name = raw["name"]
-        if "levels" in raw:
-            levels = []
-            for p, blocks in enumerate(raw["levels"], start=1):
-                alg = tower.level(p)
-                mats = [parse_matrix(b) for b in blocks]
-                if tuple(m.shape[0] for m in mats) != alg.block_sizes:
-                    raise StructuralError(
-                        f"element {name!r} level {p}: block sizes "
-                        f"{tuple(m.shape[0] for m in mats)} do not match "
-                        f"{alg.block_sizes}")
-                levels.append(AlgebraElement(alg, mats))
-            return CoherentElement(tower, levels=levels, certificates=Certificates(
-                selfadjoint=bool(raw.get("selfadjoint", False))))
-        gen = _require(raw, "generator", f"element {name!r}")
-        kind = _require(gen, "kind", f"generator of element {name!r}")
-        if kind == "L_superdiagonal":
-            return shift_element(tower)
-        if kind == "scalar":
-            return scalar_element(tower, parse_complex(
-                _require(gen, "value", f"generator of element {name!r}")))
-        if kind == "diag_sequence":
-            values = [parse_complex(v) for v in _require(
-                gen, "values", f"generator of element {name!r}")]
-            bound = gen.get("bound")
-            return diag_sequence_element(
-                tower, values,
-                norm_bound=float(bound) if bound is not None else None,
-                norm_reason="declared bound" if bound is not None else None)
-        if kind == "exp_of":
-            base = self.element(gen["element"])
-            return exp_selfadjoint(base, float(gen.get("t", 1.0)))
-        raise StructuralError(
-            f"element {name!r} has unknown generator kind {kind!r}")
-
-    # -- spaces ---------------------------------------------------------------
+        return _named(self._elements, name, "element")
 
     def space(self, name: str) -> CoveredSpace:
-        if name not in self._spaces_raw:
-            raise StructuralError(f"unknown space {name!r}")
-        raw = self._spaces_raw[name]
-        return CoveredSpace(
-            points=tuple(_require(raw, "points", f"space {name!r}")),
-            chain=tuple(
-                tuple(f) for f in _require(raw, "chain", f"space {name!r}")),
-        )
-
-    # -- run directives -------------------------------------------------------
+        return _named(self._spaces, name, "space")
 
     def run_defaults(self, command: str) -> dict:
         """The command's run directive without its ``command`` key."""
-        return dict(self._runs.get(command, {}))
+        return dict(self.runs.get(command, {}))
+
+
+def _named(built: dict, name: str, what: str):
+    if name not in built:
+        raise StructuralError(f"unknown {what} {name!r}")
+    return built[name]
 
 
 def load_specfile(path) -> SpecFile:
     """Parse and validate a spec file; JSON errors carry line/column."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    data = json.loads(text)  # json.JSONDecodeError exposes lineno/colno
+        data = json.load(fh)  # json.JSONDecodeError exposes lineno/colno
     return SpecFile(data, origin=str(path))

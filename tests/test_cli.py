@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import protower.suites
 from protower.cli import (
@@ -46,6 +48,10 @@ def test_parse_complex_and_matrix():
     assert parse_complex(3) == 3.0 + 0.0j
     with pytest.raises(StructuralError):
         parse_complex("no")
+    with pytest.raises(StructuralError):
+        parse_complex(True)
+    with pytest.raises(StructuralError):
+        parse_complex([True, False])
     m = parse_matrix([[[0.0, 0.0], [1.0, 0.0]], [[0.0, -1.0], [0.0, 0.0]]])
     assert m.shape == (2, 2)
     assert m[0, 1] == 1.0
@@ -89,9 +95,8 @@ def test_unknown_references_raise():
 def test_custom_table_must_be_prefix_chain():
     data = {"towers": [{"name": "t", "rule": {
         "kind": "custom_table", "block_sizes": [[1, 2], [2, 2]]}}]}
-    spec = SpecFile(data)
     with pytest.raises(StructuralError):
-        spec.tower("t")
+        SpecFile(data)
 
 
 def test_run_reports_and_exit_semantics(spec):
@@ -391,3 +396,100 @@ def test_malformed_spec_shape_exits_2(tmp_path, capsys, data, named):
     path.write_text(json.dumps(data))
     assert main(["norm", "--spec", str(path)]) == 2
     assert named in capsys.readouterr().err
+
+
+def entry(data: dict, section: str, name: str) -> dict:
+    return next(e for e in data[section] if e.get("name") == name)
+
+
+@pytest.mark.parametrize("mutate, named", [
+    (lambda d: entry(d, "towers", "pair").update(horizon="abc"),
+     ["tower 'pair'", "'horizon'", "'abc'"]),
+    (lambda d: entry(d, "towers", "matrix-product").update(name=["x"]),
+     ["towers entry 1", "'name'", "['x']"]),
+    (lambda d: entry(d, "towers", "pair")["rule"].update(block_sizes=5),
+     ["tower 'pair'", "'block_sizes'", "5"]),
+    (lambda d: entry(d, "towers", "pair")["rule"].update(block_sizes=[[1, "a"]]),
+     ["tower 'pair'", "'block_sizes'", "'a'"]),
+    (lambda d: entry(d, "elements", "hpair").update(levels=5),
+     ["element 'hpair'", "'levels'", "5"]),
+    (lambda d: entry(d, "elements", "ramp")["generator"].update(bound="abc"),
+     ["element 'ramp'", "'bound'", "'abc'"]),
+    (lambda d: entry(d, "elements", "upair")["generator"].update(t="x"),
+     ["element 'upair'", "'t'", "'x'"]),
+    (lambda d: entry(d, "spaces", "five-chain").update(points=5),
+     ["space 'five-chain'", "'points'", "5"]),
+    (lambda d: entry(d, "spaces", "five-chain").update(chain=[[0], "ab"]),
+     ["space 'five-chain'", "'chain'", "'ab'"]),
+    # exp_of names an element defined above it, so it cannot name itself
+    (lambda d: entry(d, "elements", "upair")["generator"].update(element="upair"),
+     ["element 'upair'", "earlier element 'upair'"]),
+    (lambda d: entry(d, "towers", "matrix-product").update(horizon=0),
+     ["tower 'matrix-product'", "'horizon'", "0"]),
+    (lambda d: entry(d, "towers", "matrix-product").update(horizon=2.7),
+     ["tower 'matrix-product'", "'horizon'", "2.7"]),
+    (lambda d: entry(d, "towers", "matrix-product").update(horizon=True),
+     ["tower 'matrix-product'", "'horizon'", "True"]),
+    (lambda d: entry(d, "towers", "flat-five").update(horizn=2),
+     ["tower 'flat-five'", "'horizn'", "2"]),
+    (lambda d: entry(d, "towers", "flat-five")["rule"].update(kinds="x"),
+     ["tower 'flat-five'", "'kinds'", "'x'"]),
+    (lambda d: entry(d, "elements", "hpair").update(selfadjoint="false"),
+     ["element 'hpair'", "'selfadjoint'", "'false'"]),
+    (lambda d: entry(d, "elements", "triple").update(selfadjoint=True),
+     ["element 'triple'", "'selfadjoint'", "True"]),
+    (lambda d: entry(d, "elements", "ramp")["generator"].update(bund=0.5),
+     ["element 'ramp'", "'bund'", "0.5"]),
+    # entries that no command names are checked too
+    (lambda d: d["towers"].append(
+        {"name": "unused", "rule": {"kind": "product_matrix"}, "horizon": "x"}),
+     ["tower 'unused'", "'horizon'", "'x'"]),
+    (lambda d: d["runs"].append({"command": "nrom"}), ["'nrom'"]),
+    (lambda d: with_directive(d, "spectrum", horizon="abc"),
+     ["spectrum run directive", "'horizon'", "'abc'"]),
+])
+def test_spec_field_errors_exit_2(tmp_path, capsys, mutate, named):
+    data = bundled_data()
+    mutate(data)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    assert main(["norm", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    for text in named:
+        assert text in err
+
+
+def places(node):
+    """(container, key) for every value in a JSON tree, depth first."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from places(node[key])
+
+
+MUTATION = st.tuples(
+    st.sampled_from(["delete", "retype", "misspell", "wrap"]),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([None, True, 0, -1, 2.5, "x", [], {}, [1], {"kind": "x"}]))
+
+
+@given(st.lists(MUTATION, min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_mutated_spec_loads_or_raises_structural_error(mutations):
+    data = bundled_data()
+    for op, index, value in mutations:
+        spots = list(places(data))
+        node, key = spots[index % len(spots)]
+        if op == "delete":
+            del node[key]
+        elif op == "retype":
+            node[key] = value
+        elif op == "misspell" and isinstance(key, str):
+            node[key[:-1] or "x"] = node.pop(key)
+        elif op == "wrap":
+            node[key] = [node[key]]
+    try:
+        SpecFile(data)
+    except StructuralError:
+        pass
