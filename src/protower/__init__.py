@@ -29,7 +29,6 @@ from .core_algebra import (
     hausdorff_distance,
     is_normal,
     is_selfadjoint,
-    selfadjoint_parts,
     spectral_radius,
     spectrum,
 )

@@ -135,7 +135,6 @@ class ExactnessReport:
     kernel_dims: tuple[int, ...]
     image_dims: tuple[int, ...]
     verdict_original: bool
-    bounded_residual: float
     verdict_bounded: bool
     traces: tuple[tuple[float, ...], ...]
     probe_norms: tuple[float, ...]
@@ -294,8 +293,7 @@ def check_exactness(
     kernel_dims = [level[2] for level in levels]
     image_dims = [level[3] for level in levels]
     verdict_original = all(r <= tol for r in level_residuals)
-    bounded_residual = level_residuals[-1]
-    verdict_bounded = bounded_residual <= tol
+    verdict_bounded = level_residuals[-1] <= tol
 
     mid = beta.source
     top_alg = mid.level(horizon)
@@ -359,7 +357,6 @@ def check_exactness(
         kernel_dims=tuple(kernel_dims),
         image_dims=tuple(image_dims),
         verdict_original=verdict_original,
-        bounded_residual=bounded_residual,
         verdict_bounded=verdict_bounded,
         traces=tuple(traces),
         probe_norms=tuple(probe_norms),

@@ -27,7 +27,6 @@ from .core_algebra import (
     PreconditionError,
     _block_eigenvalues,
     _block_norm,
-    _block_selfadjoint_parts,
     apply_function,
     cluster_points,
     cstar_norm,
@@ -330,24 +329,15 @@ def _real_on_reals(f: FunctionDescriptor) -> bool:
 def coherent_selfadjoint_parts(
     e: CoherentElement,
 ) -> tuple[CoherentElement, CoherentElement]:
-    """Levelwise real and imaginary parts as coherent families.
+    """Levelwise real and imaginary parts (e + e*)/2 and (e - e*)/2i.
 
     The split commutes with *-homomorphisms, so coherence is preserved;
     each part inherits the norm bound of the original (the split is a
     contraction on each summand).
     """
-    def part(which: int):
-        def gen(p: int, indices: list[int]) -> list[np.ndarray]:
-            return [
-                _block_selfadjoint_parts(b)[which]
-                for b in e.level_blocks(p, indices)]
-        return gen
-
     bound = e.certificates.norm_bound
     reason = "self-adjoint part of a certified bounded element"
-    cert = Certificates.bounded(
-        bound, None if bound is None else reason, selfadjoint=True)
-    return (
-        CoherentElement(e.tower, generator=part(0), certificates=cert),
-        CoherentElement(e.tower, generator=part(1), certificates=cert),
-    )
+    cert = vars(Certificates.bounded(
+        bound, None if bound is None else reason, selfadjoint=True))
+    return ((0.5 * (e + e.adjoint())).with_certificates(**cert),
+            (-0.5j * (e - e.adjoint())).with_certificates(**cert))

@@ -37,7 +37,6 @@ __all__ = [
     "is_selfadjoint",
     "apply_function",
     "adjoin_unit_element",
-    "selfadjoint_parts",
     "distance",
     "cluster_points",
     "hausdorff_distance",
@@ -359,19 +358,8 @@ def is_normal(x: AlgebraElement, tol: float = DEFAULT_NORMALITY_TOL) -> bool:
 
 
 def is_selfadjoint(x: AlgebraElement, tol: float = DEFAULT_NORMALITY_TOL) -> bool:
-    return distance(x, x.adjoint()) <= tol * max(1.0, cstar_norm(x))
-
-
-def _block_selfadjoint_parts(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    bs = b.conj().T
-    return complex(0.5) * (b + bs), complex(0, -0.5) * (b - bs)
-
-
-def selfadjoint_parts(x: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:
-    """Split x = h + i*k with h, k self-adjoint."""
-    parts = [_block_selfadjoint_parts(b) for b in x.blocks]
-    return (AlgebraElement(x.parent, [h for h, _ in parts]),
-            AlgebraElement(x.parent, [k for _, k in parts]))
+    gap = distance(x, x.adjoint())  # an exact match needs no norm
+    return gap == 0.0 or gap <= tol * max(1.0, cstar_norm(x))
 
 
 def adjoin_unit_element(x: AlgebraElement, lam: complex) -> AlgebraElement:

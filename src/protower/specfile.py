@@ -172,6 +172,12 @@ class SpecFile:
                          else f"{section} entry {i}")
                 explicit = section == "elements" and "levels" in raw
                 f = fields(raw, EXPLICIT if explicit else ENTRIES[section], where)
+                if name in built:
+                    raise StructuralError(f"{where} is defined twice in {section}")
+                if (section == "towers" and f["rule"]["kind"] == "custom_table"
+                        and raw.get("horizon") is not None):
+                    raise StructuralError(f"{where} with a custom_table rule takes "
+                                          f"no 'horizon' (given {raw['horizon']!r})")
                 try:
                     built[name] = build(f)
                 except AlgebraError as exc:

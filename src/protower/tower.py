@@ -415,7 +415,8 @@ class CoherentElement:
     ``level_blocks`` asks only for the blocks a caller needs, such as the
     blocks born at level p. ``certificates`` is one immutable
     ``Certificates`` value; ``with_certificates`` makes a copy with
-    another.
+    another. ``a + b``, ``a - b``, ``a * b``, ``c * a`` and
+    ``a.adjoint()`` build elements blockwise, without certificates.
     """
 
     def __init__(
@@ -507,6 +508,36 @@ class CoherentElement:
     def max_level(self, horizon: int) -> int:
         """Largest level <= horizon this element can produce."""
         return horizon if self._top is None else min(horizon, self._top)
+
+    def _blockwise(self, op, *others: CoherentElement) -> CoherentElement:
+        """The element whose level-p blocks are ``op`` of the operands'
+        ``level_blocks``, up to the lowest operand top, without certificates.
+        """
+        operands = (self, *others)
+        if any(o.tower is not self.tower for o in others):
+            raise StructuralError("operands live on different towers")
+        out = CoherentElement(self.tower, generator=lambda p, indices: [
+            op(*bs) for bs in zip(*(o.level_blocks(p, indices) for o in operands))])
+        out._top = min((o._top for o in operands if o._top is not None),
+                       default=None)
+        return out
+
+    def __add__(self, other: CoherentElement) -> CoherentElement:
+        return self._blockwise(lambda a, b: a + b, other)
+
+    def __sub__(self, other: CoherentElement) -> CoherentElement:
+        return self._blockwise(lambda a, b: a - b, other)
+
+    def __mul__(self, other) -> CoherentElement:
+        if isinstance(other, CoherentElement):
+            return self._blockwise(lambda a, b: a @ b, other)
+        return self.__rmul__(other)
+
+    def __rmul__(self, scalar) -> CoherentElement:
+        return self._blockwise(lambda a, c=complex(scalar): c * a)
+
+    def adjoint(self) -> CoherentElement:
+        return self._blockwise(lambda a: a.conj().T)
 
 
 def project(e: CoherentElement, p: int) -> AlgebraElement:

@@ -28,7 +28,8 @@ from .core_algebra import (
     is_selfadjoint,
     ray_distance,
 )
-from .tower import Certificates, CoherentElement, TowerHomomorphism, project
+from .tower import (
+    Certificates, CoherentElement, TowerHomomorphism, project, scalar_element)
 
 __all__ = [
     "ExpFactorization",
@@ -207,31 +208,24 @@ class ExpFactorization:
 
     def product(self) -> CoherentElement:
         """The coherent family prod_j exp(i * factors[j])."""
-        factors = self.factors
-        tower = self.target.tower
-
-        def gen(p: int, indices: list[int]) -> list[np.ndarray]:
-            out = _exp_product(factors, tower, p)
-            return [out.blocks[i] for i in indices]
-
-        return CoherentElement(tower, generator=gen, certificates=Certificates(
+        return _exp_product(self.factors, self.target.tower).with_certificates(
             unitary=True, norm_bound=1.0,
-            norm_reason="product of exponentials of self-adjoint elements"))
+            norm_reason="product of exponentials of self-adjoint elements")
 
 
-def _exp_product(factors, tower, p: int) -> AlgebraElement:
-    """Level p of exp(i*factors[0]) * exp(i*factors[1]) * ..."""
-    out = tower.level(p).identity()
+def _exp_product(factors, tower) -> CoherentElement:
+    """exp(i*factors[0]) * exp(i*factors[1]) * ..., without certificates."""
+    out = scalar_element(tower, 1.0)
     for a in factors:
-        out = out * apply_function(project(a, p), ExpI(1.0))
+        out = out * exp_selfadjoint(a)
     return out
 
 
 def _reassembly_residual(factors, u: CoherentElement, horizon: int) -> float:
+    out = _exp_product(factors, u.tower)
     worst = 0.0
     for p in range(1, horizon + 1):
-        out = _exp_product(factors, u.tower, p)
-        worst = max(worst, distance(out, project(u, p)))
+        worst = max(worst, distance(project(out, p), project(u, p)))
     return worst
 
 
@@ -291,15 +285,9 @@ def identity_component_check(
             f"{np.sort(args)}")
     half_tol = min(tol, gap_margin / 2)
     best_effort, _ = _verified_log(u, gap_mid, half_tol, top)
-    half = CoherentElement(
-        u.tower,
-        levels=[0.5 * project(best_effort, p) for p in range(1, top + 1)],
-        certificates=Certificates(selfadjoint=True))
-    unwind = exp_selfadjoint(half, -1.0)
-    w_levels = [
-        project(u, p) * project(unwind, p) for p in range(1, top + 1)]
-    w = CoherentElement(u.tower, levels=w_levels, certificates=Certificates(
-        unitary=True, norm_bound=1.0, norm_reason="product of unitaries"))
+    half = (0.5 * best_effort).with_certificates(selfadjoint=True)
+    w = (u * exp_selfadjoint(half, -1.0)).with_certificates(
+        unitary=True, norm_bound=1.0, norm_reason="product of unitaries")
     w_branch, w_margin = largest_gap_branch(_level_args(w, top))
     if w_margin < branch_margin:
         raise AlgebraError(

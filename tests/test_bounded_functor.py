@@ -160,7 +160,7 @@ def test_squash_bound_rule_and_margin():
     report = ExactnessReport(
         horizon=1, composite_residual=0.0, level_residuals=(0.0,),
         kernel_dims=(1,), image_dims=(1,), verdict_original=True,
-        bounded_residual=0.0, verdict_bounded=True,
+        verdict_bounded=True,
         traces=((1.0, 0.5), (2.0, squash_bound(2))), probe_norms=(1.0, 1.0))
     assert report.traces_within_bound
     assert report.squash_margin == 0.0

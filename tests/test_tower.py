@@ -521,3 +521,128 @@ def test_bracketed_sweep_svd_counts(monkeypatch):
     details = report.records[0].details
     assert (details["witness_level"], details["witness_value"]) == (52, 51.0)
     assert len(sizes) <= 3
+
+
+# blockwise arithmetic: one binary form per operation, applied alike to
+# coherent elements and to their projected levels
+OPERATIONS = {
+    "sum": lambda a, b: a + b,
+    "difference": lambda a, b: a - b,
+    "product": lambda a, b: a * b,
+    "scalar-left": lambda a, b: (0.5 - 2j) * a,
+    "scalar-right": lambda a, b: a * (0.5 - 2j),
+    "adjoint": lambda a, b: a.adjoint(),
+}
+
+
+def arithmetic_operands(seed):
+    """(tower, top, operands) on a twisted tower and a lazy product tower;
+    two explicit operands up to ``top`` and two generators."""
+    rng = stream(seed, "coherent-arithmetic")
+    twisted, _ = twisted_chain(6, rng)
+    lazy = make_product_tower(lambda k: k, 1)
+    for t, top in ((twisted, 6), (lazy, 5)):
+        explicit = [coherent_from_top(t, random_element(t.level(top), rng), top)
+                    for _ in range(2)]
+        yield t, top, [*explicit, shift_element(t), scalar_element(t, 1.5 + 1j)]
+
+
+@pytest.mark.parametrize("op", OPERATIONS.values(), ids=OPERATIONS)
+def test_arithmetic_is_blockwise(op):
+    for t, top, operands in arithmetic_operands(71):
+        for a in operands:
+            for b in operands:
+                c = op(a, b)
+                assert c.certificates == Certificates()
+                for p in range(1, top + 1):
+                    want = op(project(a, p), project(b, p)).blocks
+                    order = list(range(t.level(p).num_blocks))[::-1]
+                    # the sweep path first, before the level is cached
+                    got = c.level_blocks(p, order)
+                    assert all(np.array_equal(x, want[i])
+                               for x, i in zip(got, order))
+                    assert all(np.array_equal(x, y)
+                               for x, y in zip(project(c, p).blocks, want))
+
+
+def test_arithmetic_top_level_and_towers():
+    t = make_product_tower(lambda k: k, 1)
+    rng = stream(72, "arithmetic-top")
+    x = coherent_from_top(t, random_element(t.level(4), rng), 4)
+    s = shift_element(t)
+    for c in (x + s, s - x, s * x, x * s, 2.0 * x, x * 2.0, x.adjoint()):
+        assert c.max_level(10) == 4
+        with pytest.raises(TruncationError):
+            project(c, 5)
+    assert (s + scalar_element(t, 1.0)).max_level(10) == 10
+    other = shift_element(make_product_tower(lambda k: k, 1))
+    for op in ("sum", "difference", "product"):
+        with pytest.raises(StructuralError, match="different towers"):
+            OPERATIONS[op](s, other)
+
+
+def test_sweep_of_a_sum_asks_only_for_newborn_blocks():
+    t = make_product_tower(lambda k: k, 1)
+    calls = []
+
+    def shift_like(p, indices):
+        calls.append((p, tuple(indices)))
+        sizes = t.level(p).block_sizes
+        return [np.diag(np.arange(1.0, sizes[i]), 1) for i in indices]
+
+    e = CoherentElement(t, generator=shift_like)
+    total = e + scalar_element(t, 2.0)
+    assert pro_spectrum(total, 40).radius == pytest.approx(2.0)
+    assert calls == [(p, (p - 1,)) for p in range(1, 41)]
+    calls.clear()
+    assert uniform_norm(3.0 * total.adjoint(), 40, math.inf).lower_bound > 39
+    assert calls == [(p, (p - 1,)) for p in range(1, 41)]
+
+
+def test_is_selfadjoint_exact_match_needs_no_norm(monkeypatch):
+    from protower.core_algebra import is_selfadjoint
+
+    rng = stream(73, "selfadjoint-verdicts")
+    alg = BlockAlgebra((2, 3, 4))
+    h = random_selfadjoint(alg, rng)
+    k = random_element(alg, rng)
+    inputs = [scale * h + eps * k for scale in (1.0, 1e3)
+              for eps in (0.0, 1e-15, 1e-13, 1e-11, 1e-9, 1e-4)]
+    tols = (0.0, 1e-14, 1e-12, 1e-10, 1e-8)
+    # the rule before the shortcut, which it must agree with for tol >= 0
+    expected = [[distance(x, x.adjoint()) <= tol * max(1.0, cstar_norm(x))
+                 for tol in tols] for x in inputs]
+    assert [[is_selfadjoint(x, tol) for tol in tols] for x in inputs] == expected
+    assert all(any(col) and not all(col) for col in zip(*expected))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert h.blocks[1].shape == (3, 3)
+    assert is_selfadjoint(h, 0.0) and is_selfadjoint(1e3 * h)
+
+
+def test_identity_component_check_on_an_ideal_tower():
+    # an ideal tower is not unital; its unitaries still factor through
+    # exp_selfadjoint, and the factor and the product are those of the
+    # explicit per-level construction
+    from protower.core_algebra import apply_function
+    from protower.unitary import identity_component_check
+
+    t = shifted_chain(4)
+    dec = closed_ideal(t, [frozenset({1})] * 4)
+    assert not dec.ideal.unital
+    u = coherent_from_top(
+        dec.ideal, random_unitary(dec.ideal.level(4), stream(74, "ideal-unitary")),
+        4, unitary=True)
+    fact = identity_component_check(u, 4)
+    assert len(fact.factors) == 1 and fact.branch_angles == (math.pi,)
+    prod = fact.product()
+    worst = 0.0
+    for p in range(1, 5):
+        level = apply_function(project(fact.factors[0], p), ExpI(1.0))
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(project(prod, p).blocks, level.blocks))
+        worst = max(worst, distance(level, project(u, p)))
+    assert fact.residual == worst <= 1e-12
