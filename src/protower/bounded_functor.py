@@ -25,9 +25,12 @@ from .core_algebra import (
     AlgebraElement,
     PreconditionError,
     RationalSquash,
+    _adjoint_stack,
     _block_norm,
-    _block_norms,
     _diagonalize_normal,
+    _rebuild,
+    _stack_distances,
+    _stack_norms,
     apply_function,
     distance,
     is_normal,
@@ -253,7 +256,7 @@ def _squash_image(
         for f in squashes:
             f.check_domain(points, tol)
             per_n.append({
-                s: v @ np.diag(np.asarray(f(d), dtype=complex)) @ v.conj().T
+                s: _rebuild(v, np.asarray(f(d), dtype=complex))
                 for s, (v, d) in eigen.items()})
     return [
         level_map.apply_blocks(indices, lambda wanted: [blocks[s] for s in wanted])
@@ -417,20 +420,6 @@ def _route_stacks(m: BlockMap, fetch_one) -> list[np.ndarray]:
     """The target stacks of m, fetching source stack s as ``fetch_one(s)``."""
     return m.apply_blocks(
         range(m.target.num_blocks), lambda sources: [fetch_one(s) for s in sources])
-
-
-def _adjoint_stack(stack: np.ndarray) -> np.ndarray:
-    """Adjoints of the stacked blocks, laid out as AlgebraElement.adjoint stores them."""
-    return np.array(stack.conj().transpose(0, 2, 1), copy=True)
-
-
-def _stack_norms(blocks: list[np.ndarray]) -> np.ndarray:
-    """The operator norm of each probe: its largest block norm."""
-    return np.max([_block_norms(stack) for stack in blocks], axis=0)
-
-
-def _stack_distances(xs: list[np.ndarray], ys: list[np.ndarray]) -> np.ndarray:
-    return _stack_norms([x - y for x, y in zip(xs, ys)])
 
 
 def _report(image_norms, rep_norms, hom_distances, tol: float) -> QuotientIsoReport:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -101,26 +101,6 @@ def seminorm(e: CoherentElement, p: int) -> float:
     return cstar_norm(project(e, p))
 
 
-def _newborn_blocks(
-    e: CoherentElement, horizon: int
-) -> Iterator[tuple[int, list[int], list[np.ndarray]]]:
-    """Walk levels yielding only the blocks born at each one.
-
-    Connecting maps conjugate surviving blocks by unitaries, and both the
-    operator norm and the eigenvalue set are conjugation-invariant, so a
-    block routed up the chain keeps its statistic; only newborn blocks need
-    to be built and measured. Every block of a level is born at that level
-    or carried up from the one below, so the blocks seen up to level p are
-    exactly those of level p. Yields (level, newborn indices, their blocks).
-    """
-    t = e.tower
-    for p in range(1, horizon + 1):
-        inherited = {route[0] for route in t.map(p - 1).routes} if p > 1 else ()
-        fresh = [i for i in range(t.level(p).num_blocks) if i not in inherited]
-        # levels without newborn blocks need no data at all
-        yield p, fresh, e.level_blocks(p, fresh) if fresh else []
-
-
 # Relative slack per unit of block size that covers the rounding of the
 # bracket's reductions and of LAPACK's SVD, so lo <= _block_norm(b) <= hi.
 _BRACKET_SLACK = 64 * np.finfo(float).eps
@@ -186,7 +166,7 @@ def _sup_verdict(
     best = 0.0  # largest value known; the sup of the blocks already settled
     floor = 0.0  # largest lower bound seen
     held: list[tuple[float, np.ndarray]] = []  # (hi, block) still undecided
-    for p, fresh, blocks in _newborn_blocks(e, top):
+    for p, fresh, blocks in e.newborn_blocks(top):
         for i, b in zip(fresh, blocks):
             lo, hi = bracket(b, i)
             if lo == hi:
@@ -199,13 +179,13 @@ def _sup_verdict(
             best = _settle(held, best, exact)
             floor, held = max(floor, best), []
         if best > threshold:
-            return BoundednessVerdict.unbounded(p, best, horizon, lower_bound=best)
+            return BoundednessVerdict.unbounded(p, best, top, lower_bound=best)
     best = _settle(held, best, exact)
     exhausted = (not e.tower.is_lazy) and top >= e.tower.horizon
     if exhausted:
         return BoundednessVerdict.bounded(
-            best, "finite tower exhausted", horizon, lower_bound=best)
-    return BoundednessVerdict.unknown(best, horizon)
+            best, "finite tower exhausted", top, lower_bound=best)
+    return BoundednessVerdict.unknown(best, top)
 
 
 def _settle(
@@ -268,7 +248,7 @@ def pro_spectrum(
         raise PreconditionError("cluster_tol must be positive")
     top = e.max_level(horizon)
     collected = []
-    for _, fresh, blocks in _newborn_blocks(e, top):
+    for _, fresh, blocks in e.newborn_blocks(top):
         collected += [_block_eigenvalues(b, i) for i, b in zip(fresh, blocks)]
     points = np.concatenate(collected) if collected else np.zeros(0, complex)
     if not e.tower.unital:
@@ -286,9 +266,10 @@ def lift_function(
     """Apply a function levelwise, with whatever certificates survive.
 
     On a non-unital tower (an ideal) the function must fix 0, otherwise
-    the result would leave the ideal. Coherence of the result is the
-    compatibility of the calculus with the connecting maps and is checked
-    by the usual coherence report, not here.
+    the result would leave the ideal. The result stops at e's top level.
+    Coherence of the result is the compatibility of the calculus with the
+    connecting maps and is checked by the usual coherence report, not
+    here.
     """
     if not e.tower.unital and not f.fixes_zero():
         raise PreconditionError(
@@ -312,7 +293,7 @@ def lift_function(
     unitary = cert.selfadjoint and isinstance(f, ExpI)
     if unitary:
         bound, reason = 1.0, "exponential of a self-adjoint element"
-    return CoherentElement(e.tower, generator=gen, certificates=Certificates.bounded(
+    return e._derive(gen, Certificates.bounded(
         bound, reason,
         selfadjoint=cert.selfadjoint and _real_on_reals(f), unitary=unitary))
 

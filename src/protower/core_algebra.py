@@ -242,6 +242,29 @@ def _block_norm(b: np.ndarray) -> float:
     return float(_block_norms(b[None])[0])
 
 
+def _batched(kernel, stack: np.ndarray, rows, m: int, what):
+    """``kernel`` on ``stack``, rows ``rows`` of an (m, n, n) stack, in one
+    batched LAPACK call.
+
+    Its rows equal the per-slice calls bitwise. If it fails, the slices go
+    one at a time, so that the EigensolverError names the first failing
+    slice; ``what()`` names the block.
+    """
+    try:
+        return kernel(stack)
+    except np.linalg.LinAlgError as exc:
+        for k, row in enumerate(rows):
+            try:
+                kernel(stack[k])
+            except np.linalg.LinAlgError as one:
+                raise EigensolverError(f"{what()}{_slice(row, m)}: {one}") from one
+        raise EigensolverError(f"{what()}: {exc}") from exc
+
+
+def _slice(k: int, m: int) -> str:
+    return "" if m == 1 else f", slice {k} of a stack of {m}"
+
+
 def cstar_norm(x: AlgebraElement) -> float:
     """Operator norm: the largest singular value over all blocks."""
     return max(_block_norm(b) for b in x.blocks)
@@ -267,20 +290,33 @@ def _is_triangular(b: np.ndarray) -> bool:
     return bool(np.all(empty | (last <= rows)))
 
 
-def _block_eigenvalues(b: np.ndarray, block_index: int) -> np.ndarray:
-    n = b.shape[0]
+def _eigenvalue_stack(stack: np.ndarray, block_index: int) -> np.ndarray:
+    """Eigenvalues of each slice of an (m, n, n) stack, one row per slice.
+
+    A 1x1 slice is its entry. An exactly triangular slice carries its
+    eigenvalues on the diagonal; reading them off avoids eigensolver noise
+    on nilpotent input. The other slices make one batched call.
+    """
+    m, n = stack.shape[0], stack.shape[-1]
     if n == 1:
-        return b.reshape(1).copy()
-    # Exactly triangular blocks carry their eigenvalues on the diagonal;
-    # reading them off avoids eigensolver noise on nilpotent input.
-    if _is_triangular(b):
-        return np.diag(b).copy()
-    try:
-        return np.linalg.eigvals(b)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(
-            f"eigenvalue iteration failed to converge on block {block_index} "
-            f"(size {n}): {exc}")
+        return stack.reshape(m, 1).copy()
+    general = [k for k in range(m) if not _is_triangular(stack[k])]
+    if not general:
+        return stack.diagonal(0, 1, 2).copy()
+
+    def what():
+        return f"eigenvalue iteration failed to converge on block {block_index} (size {n})"
+
+    if len(general) == m:
+        return _batched(np.linalg.eigvals, stack, general, m, what)
+    out = stack.diagonal(0, 1, 2).copy()
+    out[general] = _batched(np.linalg.eigvals, stack[general], general, m, what)
+    return out
+
+
+def _block_eigenvalues(b: np.ndarray, block_index: int) -> np.ndarray:
+    """Eigenvalues of one block: the height-1 case of _eigenvalue_stack."""
+    return _eigenvalue_stack(b[None], block_index)[0]
 
 
 def cluster_points(points, tol: float) -> np.ndarray:
@@ -350,11 +386,7 @@ def spectral_radius(x: AlgebraElement) -> float:
 
 def is_normal(x: AlgebraElement, tol: float = DEFAULT_NORMALITY_TOL) -> bool:
     """Whether x commutes with its adjoint, relative to norm(x) squared."""
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
-    xs = x.adjoint()
-    comm = xs * x - x * xs
-    return cstar_norm(comm) <= tol * max(1.0, cstar_norm(x) ** 2)
+    return _are_normal(_stacked([x]), tol)[0]
 
 
 def is_selfadjoint(x: AlgebraElement, tol: float = DEFAULT_NORMALITY_TOL) -> bool:
@@ -374,6 +406,66 @@ def adjoin_unit_element(x: AlgebraElement, lam: complex) -> AlgebraElement:
     blocks = [b + lam * np.eye(b.shape[0]) for b in x.blocks]
     blocks.append(np.array([[lam]], dtype=complex))
     return AlgebraElement(parent, blocks)
+
+
+# ---------------------------------------------------------------------------
+# stacks: many elements of one algebra at once
+# ---------------------------------------------------------------------------
+# A stack list holds one (m, n, n) array per block position, whose row k
+# is that block of element k. Each function below is the stack form of the
+# element function named in its docstring, and its rows equal the
+# per-element calls bitwise. is_normal is the height-1 case of its form.
+
+def _stacked(elements) -> list[np.ndarray]:
+    """The blocks of elements of one algebra, stacked by block position.
+
+    One element gives views of its blocks, which keep their layout.
+    """
+    if len(elements) == 1:
+        return [b[None] for b in elements[0].blocks]
+    return [np.stack(blocks) for blocks in zip(*(x.blocks for x in elements))]
+
+
+def _adjoint_stack(stack: np.ndarray) -> np.ndarray:
+    """Adjoints of the stacked blocks, laid out as AlgebraElement.adjoint stores them."""
+    return np.array(stack.conj().swapaxes(-1, -2), copy=True)
+
+
+def _stack_norms(stacks: list[np.ndarray]) -> np.ndarray:
+    """cstar_norm of each element: its largest block norm."""
+    return np.max([_block_norms(stack) for stack in stacks], axis=0)
+
+
+def _stack_distances(xs: list[np.ndarray], ys: list[np.ndarray]) -> np.ndarray:
+    """distance of each pair of elements."""
+    return _stack_norms([x - y for x, y in zip(xs, ys)])
+
+
+def _spectral_radii(stacks: list[np.ndarray]) -> np.ndarray:
+    """spectral_radius of each element."""
+    return np.max([
+        np.abs(_eigenvalue_stack(stack, i)).max(axis=1)
+        for i, stack in enumerate(stacks)], axis=0)
+
+
+def _spectra(stacks: list[np.ndarray], cluster_tol: float) -> list[np.ndarray]:
+    """spectrum of each element."""
+    if cluster_tol <= 0:
+        raise PreconditionError("cluster_tol must be positive")
+    eigs = [_eigenvalue_stack(stack, i) for i, stack in enumerate(stacks)]
+    return [
+        cluster_points(np.concatenate([e[k] for e in eigs]), cluster_tol)
+        for k in range(stacks[0].shape[0])]
+
+
+def _are_normal(stacks: list[np.ndarray], tol: float) -> list[bool]:
+    """is_normal of each element."""
+    if tol <= 0:
+        raise PreconditionError("tol must be positive")
+    adjoints = [_adjoint_stack(stack) for stack in stacks]
+    comm = _stack_norms([a @ x - x @ a for x, a in zip(stacks, adjoints)])
+    return [c <= tol * max(1.0, n ** 2)
+            for c, n in zip(comm.tolist(), _stack_norms(stacks).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -650,40 +742,107 @@ class Tabulated(FunctionDescriptor):
 # functional calculus
 # ---------------------------------------------------------------------------
 
-def _diagonalize_normal(block: np.ndarray, tol: float, block_index: int):
-    """Unitary V and eigenvalues d with block = V diag(d) V*.
+def _diagonalize_normals(stack: np.ndarray, tol: float, block_index: int):
+    """Unitaries v and eigenvalues d with each slice = v diag(d) v*.
 
-    Hermitian blocks go through the symmetric eigensolver; general normal
-    blocks through a complex Schur form whose off-diagonal residue must
-    vanish within tol, which is exactly the normality assertion.
+    Each slice of the (m, n, n) stack is judged at its own scale
+    max(1, ||b||). Hermitian slices make one batched eigh of their
+    Hermitian parts (b + b*)/2; every other slice goes through a complex
+    Schur form whose off-diagonal residue must vanish within tol, which is
+    exactly the normality assertion.
     """
-    n = block.shape[0]
+    m, n = stack.shape[0], stack.shape[-1]
     if n == 1:
-        return np.eye(1, dtype=complex), block.reshape(1).copy()
-    scale = max(1.0, _block_norm(block))
-    if np.abs(block - block.conj().T).max() <= tol * scale:
-        herm = 0.5 * (block + block.conj().T)
-        try:
-            w, v = np.linalg.eigh(herm)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(
-                f"Hermitian eigensolver failed on block {block_index}: {exc}")
-        return v, w.astype(complex)
+        return np.ones((m, 1, 1), dtype=complex), stack.reshape(m, 1).copy()
+    scale = np.maximum(1.0, _block_norms(stack))
+    hermitian = np.abs(
+        stack - stack.conj().swapaxes(-1, -2)).max(axis=(1, 2)) <= tol * scale
+    if hermitian.all():
+        return _hermitian_eigen(stack, range(m), m, block_index)
+    v = np.empty(stack.shape, dtype=complex)
+    d = np.empty((m, n), dtype=complex)
+    rows = np.flatnonzero(hermitian)
+    if rows.size:
+        v[rows], d[rows] = _hermitian_eigen(stack[rows], rows, m, block_index)
+    for k in np.flatnonzero(~hermitian):
+        v[k], d[k] = _schur_diagonalize(
+            stack[k], tol * scale[k], f"block {block_index}{_slice(k, m)}")
+    return v, d
+
+
+def _hermitian_eigen(stack: np.ndarray, rows, m: int, block_index: int):
+    """eigh of the Hermitian parts (b + b*)/2 of the stacked blocks, rows
+    ``rows`` of a stack of m: their unitaries and eigenvalues."""
+    w, v = _batched(
+        np.linalg.eigh, 0.5 * (stack + stack.conj().swapaxes(-1, -2)), rows, m,
+        lambda: f"Hermitian eigensolver failed on block {block_index}")
+    return v, w.astype(complex)
+
+
+def _schur_diagonalize(b: np.ndarray, bound: float, where: str):
+    """The unitary and the eigenvalues of a normal block from its complex
+    Schur form, whose off-diagonal residue must stay within ``bound``."""
     # scipy is imported here, not at module level: loading it costs more
     # than the rest of the package, and only this branch needs it.
     import scipy.linalg
 
     try:
-        t, z = scipy.linalg.schur(block, output="complex")
+        t, z = scipy.linalg.schur(b, output="complex")
     except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise EigensolverError(
-            f"Schur factorization failed on block {block_index}: {exc}")
+        raise EigensolverError(f"Schur factorization failed on {where}: {exc}")
     off = t - np.diag(np.diag(t))
-    if np.abs(off).max() > tol * scale:
+    if np.abs(off).max() > bound:
         raise PreconditionError(
-            f"block {block_index} is not normal within tolerance "
+            f"{where} is not normal within tolerance "
             f"(triangular residue {np.abs(off).max():.3e})")
-    return z, np.diag(t).copy()
+    return z, np.diag(t)
+
+
+def _diagonalize_normal(block: np.ndarray, tol: float, block_index: int):
+    """Unitary V and eigenvalues d with block = V diag(d) V*: the height-1
+    case of _diagonalize_normals."""
+    v, d = _diagonalize_normals(block[None], tol, block_index)
+    return v[0], d[0]
+
+
+def _rebuild(v: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """v diag(values) v*, for one block or an (m, n, n) stack of them."""
+    n = v.shape[-1]
+    diag = np.zeros(v.shape, dtype=complex)
+    diag.reshape(v.shape[:-2] + (n * n,))[..., ::n + 1] = values
+    return v @ diag @ v.conj().swapaxes(-1, -2)
+
+
+def _normal_calculus(
+    stacks: list[np.ndarray], f: FunctionDescriptor, tol: float
+) -> list[np.ndarray]:
+    """f of each element of a stack list, whose elements must be normal.
+
+    Every block position is diagonalized as one stack, f's domain is
+    checked on all eigenvalues, and each block is rebuilt as
+    v diag(f(d)) v*. apply_function on a normal element is its height-1
+    case.
+    """
+    eigen = [_diagonalize_normals(stack, tol, i) for i, stack in enumerate(stacks)]
+    f.check_domain(np.concatenate([d.ravel() for _, d in eigen]), tol)
+    return [_rebuild(v, np.asarray(f(d), dtype=complex)) for v, d in eigen]
+
+
+def _apply_function_stacks(
+    stacks: list[np.ndarray], f: FunctionDescriptor, tol: float = DEFAULT_NORMALITY_TOL
+) -> list[np.ndarray]:
+    """apply_function of each element of a stack list.
+
+    Normal elements share one diagonalization per block position. If any
+    element is not normal, each goes through apply_function alone, with
+    its checks and errors.
+    """
+    if all(_are_normal(stacks, tol)):
+        return _normal_calculus(stacks, f, tol)
+    alg = BlockAlgebra(tuple(stack.shape[-1] for stack in stacks))
+    return _stacked([
+        apply_function(AlgebraElement(alg, [stack[k] for stack in stacks]), f, tol)
+        for k in range(stacks[0].shape[0])])
 
 
 def apply_function(
@@ -698,14 +857,8 @@ def apply_function(
     descriptors, which are evaluated by matrix arithmetic.
     """
     if is_normal(x, tol):
-        eigen_data = [
-            _diagonalize_normal(b, tol, i) for i, b in enumerate(x.blocks)]
-        all_eigs = np.concatenate([d for _, d in eigen_data])
-        f.check_domain(all_eigs, tol)
-        blocks = [
-            v @ np.diag(np.asarray(f(d), dtype=complex)) @ v.conj().T
-            for v, d in eigen_data]
-        return AlgebraElement(x.parent, blocks)
+        return AlgebraElement(
+            x.parent, [s[0] for s in _normal_calculus(_stacked([x]), f, tol)])
     if not f.analytic:
         raise PreconditionError(
             "non-analytic calculus needs a normal element; "

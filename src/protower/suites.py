@@ -26,15 +26,23 @@ from .calculus import (
     uniform_norm,
 )
 from .core_algebra import (
+    DEFAULT_CLUSTER_TOL,
+    BlockAlgebra,
     ExpI,
     Polynomial,
     PrincipalArg,
     RationalSquash,
     StructuralError,
-    cstar_norm,
+    _adjoint_stack,
+    _apply_function_stacks,
+    _spectra,
+    _spectral_radii,
+    _stack_distances,
+    _stack_norms,
+    _stacked,
+    apply_function,
     hausdorff_distance,
     one_sided_hausdorff,
-    spectral_radius,
     spectrum,
 )
 from .gelfand import _evaluate, character_space, duality_roundtrip
@@ -352,7 +360,12 @@ def gelfand_records(spec, seed: int, probes: int = 100) -> list[CheckRecord]:
 
 
 def unitary_suite_records(seed: int, count: int = 100) -> list[CheckRecord]:
-    """Exponential factorizations near the identity and in general."""
+    """Exponential factorizations near the identity and in general.
+
+    The levelwise exponentials of the general unitaries run on stacks of
+    all ``count`` instances, level by level; the branch, the logarithm and
+    every factorization stay per instance.
+    """
     tower = make_product_tower(lambda k: k, 4, lazy=False)
     top = tower.level(4)
     records = []
@@ -373,74 +386,72 @@ def unitary_suite_records(seed: int, count: int = 100) -> list[CheckRecord]:
         {"count": count, "worst_residual": worst_residual}))
 
     rng = stream(seed, "unitary-arbitrary")
-    general_ok = True
-    norm_ok = True
-    worst_residual = 0.0
-    worst_norm_dev = 0.0
-    for _ in range(count):
-        u = coherent_from_top(tower, random_unitary(top, rng), 4, unitary=True)
-        for p in range(1, 5):
-            x = project(u, p)
-            args = np.angle(np.concatenate(
-                [np.linalg.eigvals(b) for b in x.blocks]))
-            branch, _ = largest_gap_branch(args)
-            h = single_level_log(x, branch, tol=1e-9, level=p)
-            from .core_algebra import apply_function, distance
-
-            res = distance(apply_function(h, ExpI(1.0)), x)
-            worst_residual = max(worst_residual, res)
-            if res > 1e-9:
-                general_ok = False
-            dev = abs(seminorm(u, p) - 1.0)
-            worst_norm_dev = max(worst_norm_dev, dev)
-            if dev > 1e-10:
-                norm_ok = False
-        fact = identity_component_check(u, horizon=4, tol=1e-9)
-        if not fact.valid:
-            general_ok = False
+    us = [coherent_from_top(tower, random_unitary(top, rng), 4, unitary=True)
+          for _ in range(count)]
+    residuals, deviations = [], []
+    for p in range(1, 5):
+        levels = [project(u, p) for u in us]
+        xs = _stacked(levels)
+        eigs = [np.linalg.eigvals(x) for x in xs]
+        logs = []
+        for k, x in enumerate(levels):
+            branch, _ = largest_gap_branch(
+                np.angle(np.concatenate([e[k] for e in eigs])))
+            logs.append(single_level_log(x, branch, tol=1e-9, level=p))
+        back = _apply_function_stacks(_stacked(logs), ExpI(1.0))
+        residuals += _stack_distances(back, xs).tolist()
+        deviations += np.abs(_stack_norms(xs) - 1.0).tolist()
+    valid = [identity_component_check(u, horizon=4, tol=1e-9).valid for u in us]
     records.append(CheckRecord(
         "levelwise-exponential-factorization", "unitary-levelwise-density",
-        general_ok,
-        {"count": count, "worst_residual": worst_residual}))
+        all(valid) and not any(r > 1e-9 for r in residuals),
+        {"count": count, "worst_residual": max([0.0, *residuals])}))
     records.append(CheckRecord(
-        "unitary-uniform-norm-one", "unitary-norm", norm_ok,
-        {"count": count, "worst_deviation": worst_norm_dev}))
+        "unitary-uniform-norm-one", "unitary-norm",
+        not any(d > 1e-10 for d in deviations),
+        {"count": count, "worst_deviation": max([0.0, *deviations])}))
     return records
 
 
-def core_invariant_records(seed: int, instances: int = 200) -> list[CheckRecord]:
-    """Algebraic invariants of the kernel on seeded random input."""
-    from .core_algebra import BlockAlgebra, apply_function
+def _margin_record(name: str, margins: list[float]) -> CheckRecord:
+    """A sweep's record: an instance fails when its margin is positive."""
+    failures = sum(m > 0 for m in margins)
+    return CheckRecord(
+        name, "core-invariants", failures == 0,
+        {"instances": len(margins), "failures": failures,
+         "worst_margin": max([0.0, *margins])})
 
+
+def _invariant_margins(seed: int, instances: int) -> dict[str, list[float]]:
+    """Per-instance margins of the five kernel invariants, by record name.
+
+    Each sweep draws its instances from its own stream, in the order a
+    loop over instances draws them, and measures them as stacks by block
+    position; spectral mapping tests apply_function end to end, one
+    instance at a time.
+    """
     alg = BlockAlgebra((1, 2, 3))
-    records = []
 
-    def sweep(name, label, check):
+    def drawn(label, draw) -> list:
         rng = stream(seed, label)
-        failures = 0
-        worst = 0.0
-        for _ in range(instances):
-            margin = check(rng)
-            worst = max(worst, margin)
-            if margin > 0:
-                failures += 1
-        records.append(CheckRecord(
-            name, "core-invariants", failures == 0,
-            {"instances": instances, "failures": failures,
-             "worst_margin": worst}))
+        return [draw(rng) for _ in range(instances)]
 
-    def cstar_identity(rng):
-        x = random_element(alg, rng)
-        n = cstar_norm(x)
-        return abs(cstar_norm(x.adjoint() * x) - n * n) - 1e-10 * n * n
+    def element(rng):
+        return random_element(alg, rng)
 
-    def submultiplicative(rng):
-        x, y = random_element(alg, rng), random_element(alg, rng)
-        return cstar_norm(x * y) - cstar_norm(x) * cstar_norm(y) - 1e-10
+    xs = _stacked(drawn("inv-cstar", element))
+    n = _stack_norms(xs)
+    cstar = np.abs(_stack_norms([_adjoint_stack(x) @ x for x in xs]) - n * n) \
+        - 1e-10 * n * n
 
-    def involution_isometry(rng):
-        x = random_element(alg, rng)
-        return abs(cstar_norm(x.adjoint()) - cstar_norm(x)) - 1e-12
+    pairs = drawn("inv-submult", lambda rng: (element(rng), element(rng)))
+    xs, ys = _stacked([x for x, _ in pairs]), _stacked([y for _, y in pairs])
+    submult = _stack_norms([x @ y for x, y in zip(xs, ys)]) \
+        - _stack_norms(xs) * _stack_norms(ys) - 1e-10
+
+    xs = _stacked(drawn("inv-isometry", element))
+    isometry = np.abs(
+        _stack_norms([_adjoint_stack(x) for x in xs]) - _stack_norms(xs)) - 1e-12
 
     def spectral_mapping(rng):
         x = random_normal(alg, rng)
@@ -449,31 +460,41 @@ def core_invariant_records(seed: int, instances: int = 200) -> list[CheckRecord]
         rhs = np.asarray(f(spectrum(x)))
         return hausdorff_distance(lhs, rhs) - 1e-8
 
-    def normal_norm_radius(rng):
-        x = random_normal(alg, rng)
-        return abs(cstar_norm(x) - spectral_radius(x)) - 1e-10
+    xs = _stacked(drawn("inv-radius", lambda rng: random_normal(alg, rng)))
+    radius = np.abs(_stack_norms(xs) - _spectral_radii(xs)) - 1e-10
+    return {
+        "cstar-identity": cstar.tolist(),
+        "submultiplicativity": submult.tolist(),
+        "involution-isometry": isometry.tolist(),
+        "spectral-mapping": drawn("inv-specmap", spectral_mapping),
+        "normal-norm-equals-radius": radius.tolist(),
+    }
 
-    sweep("cstar-identity", "inv-cstar", cstar_identity)
-    sweep("submultiplicativity", "inv-submult", submultiplicative)
-    sweep("involution-isometry", "inv-isometry", involution_isometry)
-    sweep("spectral-mapping", "inv-specmap", spectral_mapping)
-    sweep("normal-norm-equals-radius", "inv-radius", normal_norm_radius)
+
+def core_invariant_records(seed: int, instances: int = 200) -> list[CheckRecord]:
+    """Algebraic invariants of the kernel on seeded random input.
+
+    The chain sweeps stack the instances level by level; each level's
+    seminorms and spectra come from that level's own projections.
+    """
+    records = [_margin_record(name, margins)
+               for name, margins in _invariant_margins(seed, instances).items()]
 
     tower = make_product_tower(lambda k: k, 5, lazy=False)
     rng = stream(seed, "inv-monotone")
-    mono_fail = 0
-    nest_fail = 0
-    for _ in range(instances):
-        e = coherent_from_top(tower, random_element(tower.level(5), rng), 5)
-        norms = [seminorm(e, p) for p in range(1, 6)]
-        if any(lo > hi + 1e-12 for lo, hi in zip(norms, norms[1:])):
-            mono_fail += 1
-        spectra = [spectrum(project(e, p)) for p in range(1, 6)]
-        if any(
-            one_sided_hausdorff(lo, hi) > 1e-8
-            for lo, hi in zip(spectra, spectra[1:])
-        ):
-            nest_fail += 1
+    es = [coherent_from_top(tower, random_element(tower.level(5), rng), 5)
+          for _ in range(instances)]
+    norms, spectra = [], []
+    for p in range(1, 6):
+        xs = _stacked([project(e, p) for e in es])
+        norms.append(_stack_norms(xs).tolist())
+        spectra.append(_spectra(xs, DEFAULT_CLUSTER_TOL))
+    mono_fail = sum(
+        any(lo > hi + 1e-12 for lo, hi in zip(seq, seq[1:]))
+        for seq in zip(*norms))
+    nest_fail = sum(
+        any(one_sided_hausdorff(lo, hi) > 1e-8 for lo, hi in zip(seq, seq[1:]))
+        for seq in zip(*spectra))
     records.append(CheckRecord(
         "seminorm-monotonicity", "core-invariants", mono_fail == 0,
         {"instances": instances, "failures": mono_fail}))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -408,12 +408,15 @@ class CoherentElement:
     Levels come either from an explicit list or from a generator rule,
     and live in one level store. An explicit list seeds the store and is
     the element's top level; a generator's top level is the tower's,
-    none on a lazy tower. A generator is a pure function
+    none on a lazy tower, unless the element is derived from others (by
+    arithmetic, ``lift_function`` or ``exp_selfadjoint``) and stops at
+    their top. A generator is a pure function
     ``gen(p, indices)`` that returns the blocks of level p at the given
     0-based block indices, in order, and builds nothing else:
     ``materialize(p)`` asks it for every block of level p, while
     ``level_blocks`` asks only for the blocks a caller needs, such as the
-    blocks born at level p. ``certificates`` is one immutable
+    blocks born at level p, which ``newborn_blocks`` walks.
+    ``certificates`` is one immutable
     ``Certificates`` value; ``with_certificates`` makes a copy with
     another. ``a + b``, ``a - b``, ``a * b``, ``c * a`` and
     ``a.adjoint()`` build elements blockwise, without certificates.
@@ -508,6 +511,35 @@ class CoherentElement:
     def max_level(self, horizon: int) -> int:
         """Largest level <= horizon this element can produce."""
         return horizon if self._top is None else min(horizon, self._top)
+
+    def newborn_blocks(
+        self, horizon: int
+    ) -> Iterator[tuple[int, list[int], Sequence[np.ndarray]]]:
+        """Walk levels 1..horizon yielding only the blocks born at each one.
+
+        Connecting maps delete blocks and conjugate the survivors by
+        unitaries, so a coherent family is fixed by the blocks each level
+        adds: a block routed up the chain is a conjugate of one already
+        seen, and keeps its norm and its eigenvalues. Every block of a
+        level is born at that level or carried up from the one below, so
+        the blocks seen up to level p are exactly those of level p. Yields
+        (level, newborn indices, their blocks).
+        """
+        t = self.tower
+        for p in range(1, horizon + 1):
+            inherited = {route[0] for route in t.map(p - 1).routes} if p > 1 else ()
+            fresh = [i for i in range(t.level(p).num_blocks) if i not in inherited]
+            # levels without newborn blocks need no data at all
+            yield p, fresh, self.level_blocks(p, fresh) if fresh else []
+
+    def _derive(
+        self, generator, certificates: Certificates = Certificates()
+    ) -> CoherentElement:
+        """A generator element on this tower that stops at this top level."""
+        out = CoherentElement(
+            self.tower, generator=generator, certificates=certificates)
+        out._top = self._top
+        return out
 
     def _blockwise(self, op, *others: CoherentElement) -> CoherentElement:
         """The element whose level-p blocks are ``op`` of the operands'

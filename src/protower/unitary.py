@@ -6,6 +6,16 @@ single exponential of a self-adjoint element. Globally the obstruction is
 the branch choice: one fixed branch angle gives a coherent logarithm, and
 when eigenvalues crowd every usable ray the unitary is split into two
 exponential factors through a half-logarithm.
+
+Like the pro-level sweeps, these functions read only the blocks that
+determine a coherent family: the blocks each level adds
+(``CoherentElement.newborn_blocks``). A connecting map deletes blocks and
+conjugates the survivors, so every other block is a conjugate of one
+already seen, with the same eigenvalues and norm. Each newborn block is
+diagonalized once, at the level where it is born, so the work grows
+linearly with the horizon. A logarithm takes its other blocks from the
+level below through the section of the connecting map, so it is coherent
+by construction.
 """
 
 from __future__ import annotations
@@ -18,18 +28,20 @@ import numpy as np
 from .core_algebra import (
     AlgebraElement,
     AlgebraError,
+    BlockAlgebra,
     BranchError,
     ExpI,
     PreconditionError,
     _block_eigenvalues,
+    _block_norm,
     _diagonalize_normal,
-    apply_function,
-    distance,
+    _normal_calculus,
+    _rebuild,
     is_selfadjoint,
     ray_distance,
 )
 from .tower import (
-    Certificates, CoherentElement, TowerHomomorphism, project, scalar_element)
+    Certificates, CoherentElement, Tower, TowerHomomorphism, scalar_element)
 
 __all__ = [
     "ExpFactorization",
@@ -45,23 +57,34 @@ __all__ = [
 DEFAULT_LOG_TOL = 1e-9
 DEFAULT_BRANCH_MARGIN = 1e-6
 
+# (level, newborn block indices, their blocks) for levels 1..top, as
+# CoherentElement.newborn_blocks yields them
+Born = list[tuple[int, list[int], list[np.ndarray]]]
+
+
+def _born(u: CoherentElement, horizon: int) -> Born:
+    """The newborn blocks of u up to the horizon, read once."""
+    return list(u.newborn_blocks(u.max_level(horizon)))
+
 
 def is_unitary(e: CoherentElement, horizon: int, tol: float = 1e-10) -> bool:
     """Whether both u u* and u* u are the identity at every level.
 
-    A pure predicate: ``e`` may be shared, so nothing is written on it.
+    Reads only the newborn blocks, which determine the family. A pure
+    predicate: ``e`` may be shared, so nothing is written on it.
     Unitaries have all seminorms equal to 1, hence uniform norm 1; a
     caller that wants that certificate takes ``e.with_certificates(
     unitary=True)``, whose ``certificates.norm()`` is then
     ``(1.0, "unitary element")``.
     """
-    for p in range(1, e.max_level(horizon) + 1):
-        x = project(e, p)
-        one = x.parent.identity()
-        if distance(x * x.adjoint(), one) > tol:
-            return False
-        if distance(x.adjoint() * x, one) > tol:
-            return False
+    for _, _, blocks in _born(e, horizon):
+        for b in blocks:
+            one = np.eye(b.shape[0], dtype=complex)
+            b_star = b.conj().T
+            if _block_norm(b @ b_star - one) > tol:
+                return False
+            if _block_norm(b_star @ b - one) > tol:
+                return False
     return True
 
 
@@ -70,21 +93,25 @@ def exp_selfadjoint(
 ) -> CoherentElement:
     """The unitary family exp(i*t*a) for self-adjoint a.
 
-    Self-adjointness is validated on every level actually produced; the
-    result carries the unitarity certificate and stays coherent because
-    the exponential commutes with the connecting maps.
+    The generator builds only the requested blocks. Each block b must be
+    self-adjoint at its own scale, ||b - b*|| <= tol * max(1, ||b||),
+    which is never looser than that rule for its whole level; otherwise
+    PreconditionError names the level and the block. The result stops at
+    a's top level, carries the unitarity certificate, and stays coherent
+    because the exponential commutes with the connecting maps.
     """
+    f = ExpI(t)
 
     def gen(p: int, indices: list[int]) -> list[np.ndarray]:
-        # the whole level: the self-adjointness check scales with it
-        x = project(a, p)
-        if not is_selfadjoint(x, tol):
-            raise PreconditionError(
-                f"level {p} is not self-adjoint within {tol}")
-        y = apply_function(x, ExpI(t), tol)
-        return [y.blocks[i] for i in indices]
+        out = []
+        for i, b in zip(indices, a.level_blocks(p, indices)):
+            if not is_selfadjoint(AlgebraElement(BlockAlgebra(b.shape[:1]), [b]), tol):
+                raise PreconditionError(
+                    f"level {p} block {i} is not self-adjoint within {tol}")
+            out.append(_normal_calculus([b[None]], f, tol)[0][0])
+        return out
 
-    return CoherentElement(a.tower, generator=gen, certificates=Certificates.bounded(
+    return a._derive(gen, Certificates.bounded(
         1.0, "exponential of a self-adjoint element", unitary=True))
 
 
@@ -92,6 +119,25 @@ def _branch_shift(args: np.ndarray, branch_angle: float) -> np.ndarray:
     """Shift raw angles into (branch_angle - 2*pi, branch_angle)."""
     return args - 2 * math.pi * np.ceil(
         (args - branch_angle) / (2 * math.pi))
+
+
+def _block_log(
+    b: np.ndarray, branch_angle: float, tol: float, i: int, level: int | None
+) -> np.ndarray:
+    """Self-adjoint h with exp(i*h) = b for block i of a unitary."""
+    where = f" at level {level}" if level is not None else ""
+    v, d = _diagonalize_normal(b, max(tol, 1e-12), i)
+    for lam in d:
+        if abs(abs(lam) - 1.0) > 10 * tol:
+            raise PreconditionError(
+                f"eigenvalue {lam} of block {i}{where} has modulus "
+                f"{abs(lam):.12f}; not unitary")
+        if ray_distance(lam, branch_angle) <= tol:
+            raise BranchError(
+                f"eigenvalue {lam} of block {i}{where} is within {tol} "
+                f"of the branch ray at angle {branch_angle:.6f}")
+    h = _rebuild(v, _branch_shift(np.angle(d), branch_angle).astype(complex))
+    return 0.5 * (h + h.conj().T)
 
 
 def single_level_log(
@@ -106,23 +152,8 @@ def single_level_log(
     within 10*tol; violations raise BranchError naming the eigenvalue and
     the level (when given).
     """
-    where = f" at level {level}" if level is not None else ""
-    blocks = []
-    for i, b in enumerate(x.blocks):
-        v, d = _diagonalize_normal(b, max(tol, 1e-12), i)
-        for lam in d:
-            if abs(abs(lam) - 1.0) > 10 * tol:
-                raise PreconditionError(
-                    f"eigenvalue {lam} of block {i}{where} has modulus "
-                    f"{abs(lam):.12f}; not unitary")
-            if ray_distance(lam, branch_angle) <= tol:
-                raise BranchError(
-                    f"eigenvalue {lam} of block {i}{where} is within {tol} "
-                    f"of the branch ray at angle {branch_angle:.6f}")
-        args = _branch_shift(np.angle(d), branch_angle)
-        h = v @ np.diag(args.astype(complex)) @ v.conj().T
-        blocks.append(0.5 * (h + h.conj().T))
-    return AlgebraElement(x.parent, blocks)
+    return AlgebraElement(x.parent, [
+        _block_log(b, branch_angle, tol, i, level) for i, b in enumerate(x.blocks)])
 
 
 def unitary_log(
@@ -136,30 +167,49 @@ def unitary_log(
     One fixed branch angle across all levels keeps the logarithm coherent.
     An eigenvalue within tol of the branch ray raises BranchError naming
     the level. The reassembly exp(i*log) is verified against u within
-    10*tol on all materialized levels before returning.
+    10*tol on the newborn blocks of every level up to the horizon before
+    returning.
     """
-    return _verified_log(u, branch_angle, tol, horizon)[0]
+    top = horizon if horizon is not None else u.tower.horizon
+    return _verified_log(u.tower, _born(u, top), branch_angle, tol)[0]
 
 
 def _unitary_log(
     u: CoherentElement, branch_angle: float, tol: float, horizon: int | None
 ) -> tuple[CoherentElement, float]:
     """The logarithm at the branch and its reassembly residual, unjudged."""
-    top = u.max_level(horizon if horizon is not None else u.tower.horizon)
-    levels = [
-        single_level_log(project(u, p), branch_angle, tol, level=p)
-        for p in range(1, top + 1)]
-    log = CoherentElement(u.tower, levels=levels, certificates=Certificates.bounded(
+    top = horizon if horizon is not None else u.tower.horizon
+    return _log_of(u.tower, _born(u, top), branch_angle, tol)
+
+
+def _log_of(
+    tower: Tower, born: Born, branch_angle: float, tol: float
+) -> tuple[CoherentElement, float]:
+    """The logarithm at the branch of the unitary whose newborn blocks are
+    ``born``, and its reassembly residual, unjudged.
+
+    Each newborn block gets its own logarithm. The other blocks of level p
+    are those of level p - 1, conjugated back by the section of the
+    connecting map.
+    """
+    levels: list[AlgebraElement] = []
+    for p, fresh, blocks in born:
+        out = (tower.map(p - 1).section_blocks(levels[-1].blocks) if levels
+               else [None] * len(fresh))
+        for i, b in zip(fresh, blocks):
+            out[i] = _block_log(b, branch_angle, tol, i, level=p)
+        levels.append(AlgebraElement(tower.level(p), out))
+    log = CoherentElement(tower, levels=levels, certificates=Certificates.bounded(
         max(abs(branch_angle - 2 * math.pi), abs(branch_angle)),
         "arguments lie in the branch window", selfadjoint=True))
-    return log, _reassembly_residual((log,), u, top)
+    return log, _reassembly_residual((log,), born, tower)
 
 
 def _verified_log(
-    u: CoherentElement, branch_angle: float, tol: float, horizon: int | None
+    tower: Tower, born: Born, branch_angle: float, tol: float
 ) -> tuple[CoherentElement, float]:
-    """``_unitary_log``; a reassembly residual above 10*tol raises."""
-    log, worst = _unitary_log(u, branch_angle, tol, horizon)
+    """``_log_of``; a reassembly residual above 10*tol raises."""
+    log, worst = _log_of(tower, born, branch_angle, tol)
     if worst > 10 * tol:
         raise AlgebraError(
             f"logarithm reassembly residual {worst:.3e} exceeds {10 * tol:.3e}")
@@ -221,21 +271,21 @@ def _exp_product(factors, tower) -> CoherentElement:
     return out
 
 
-def _reassembly_residual(factors, u: CoherentElement, horizon: int) -> float:
-    out = _exp_product(factors, u.tower)
+def _reassembly_residual(factors, born: Born, tower: Tower) -> float:
+    """max ||prod_j exp(i * factors[j]) - u|| over u's newborn blocks."""
+    out = _exp_product(factors, tower)
     worst = 0.0
-    for p in range(1, horizon + 1):
-        worst = max(worst, distance(project(out, p), project(u, p)))
+    for p, fresh, blocks in born:
+        for x, y in zip(out.level_blocks(p, fresh), blocks):
+            worst = max(worst, _block_norm(x - y))
     return worst
 
 
-def _level_args(u: CoherentElement, horizon: int) -> np.ndarray:
-    args = []
-    for p in range(1, horizon + 1):
-        x = project(u, p)
-        for i, b in enumerate(x.blocks):
-            args.append(np.angle(_block_eigenvalues(b, i)))
-    return np.concatenate(args)
+def _level_args(born: Born) -> np.ndarray:
+    """Arguments of the eigenvalues of the newborn blocks."""
+    return np.concatenate([
+        np.angle(_block_eigenvalues(b, i))
+        for _, fresh, blocks in born for i, b in zip(fresh, blocks)])
 
 
 def identity_component_check(
@@ -252,18 +302,22 @@ def identity_component_check(
     eigenvalues crowd all rays, the unitary is split as
     u = (u * exp(-i*a1)) * exp(i*a1) with a1 half of a best-effort
     logarithm, which compresses the spectrum into a half circle and makes
-    the second logarithm safe.
+    the second logarithm safe. u's newborn blocks are read once, and every
+    step (the distance to the identity, the spectrum, the logarithms and
+    the residual) works on them.
     """
     top = u.max_level(horizon)
+    tower = u.tower
+    born = _born(u, top)
     ident_dist = max(
-        distance(project(u, p), u.tower.level(p).identity())
-        for p in range(1, top + 1))
+        _block_norm(b - np.eye(b.shape[0], dtype=complex))
+        for _, _, blocks in born for b in blocks)
     if ident_dist <= tol:
         return ExpFactorization(
             target=u, factors=(), residual=ident_dist, horizon=top, tol=tol,
             branch_angles=(), coherent=True)
 
-    args = _level_args(u, top)
+    args = _level_args(born)
     candidates = [math.pi]
     gap_mid, gap_margin = largest_gap_branch(args)
     candidates.append(gap_mid)
@@ -272,7 +326,7 @@ def identity_component_check(
             ray_distance(complex(math.cos(t), math.sin(t)), theta)
             for t in args)
         if margin >= branch_margin:
-            log, residual = _verified_log(u, theta, tol, top)
+            log, residual = _verified_log(tower, born, theta, tol)
             if residual <= tol:
                 return ExpFactorization(
                     target=u, factors=(log,), residual=residual, horizon=top,
@@ -284,18 +338,22 @@ def identity_component_check(
             "no branch ray separates the spectrum; eigenvalue arguments: "
             f"{np.sort(args)}")
     half_tol = min(tol, gap_margin / 2)
-    best_effort, _ = _verified_log(u, gap_mid, half_tol, top)
+    best_effort, _ = _verified_log(tower, born, gap_mid, half_tol)
     half = (0.5 * best_effort).with_certificates(selfadjoint=True)
-    w = (u * exp_selfadjoint(half, -1.0)).with_certificates(
-        unitary=True, norm_bound=1.0, norm_reason="product of unitaries")
-    w_branch, w_margin = largest_gap_branch(_level_args(w, top))
+    # the newborn blocks of the remainder w = u * exp(-i*half)
+    undo = exp_selfadjoint(half, -1.0)
+    w_born = [
+        (p, fresh, [x @ y for x, y in zip(blocks, undo.level_blocks(p, fresh))])
+        for p, fresh, blocks in born]
+    w_args = _level_args(w_born)
+    w_branch, w_margin = largest_gap_branch(w_args)
     if w_margin < branch_margin:
         raise AlgebraError(
             "splitting failed to open a branch gap; eigenvalue arguments "
-            f"of the remainder: {np.sort(_level_args(w, top))}")
-    log_w, _ = _verified_log(w, w_branch, tol, top)
+            f"of the remainder: {np.sort(w_args)}")
+    log_w, _ = _verified_log(tower, w_born, w_branch, tol)
     factors = (log_w, half)
-    residual = _reassembly_residual(factors, u, top)
+    residual = _reassembly_residual(factors, born, tower)
     if residual > tol:
         raise AlgebraError(
             f"two-factor reassembly residual {residual:.3e} exceeds {tol:.3e};"
@@ -324,7 +382,8 @@ def pushforward_exp(
         norm_reason="surjective image of a unitary")
     image_factors = tuple(
         phi.apply(a, selfadjoint=True) for a in fact.factors)
-    residual = _reassembly_residual(image_factors, image_target, fact.horizon)
+    residual = _reassembly_residual(
+        image_factors, _born(image_target, fact.horizon), image_target.tower)
     return ExpFactorization(
         target=image_target,
         factors=image_factors,

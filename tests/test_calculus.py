@@ -272,3 +272,40 @@ def test_seminorm_topology_strictly_coarser_than_sup_norm():
         v = uniform_norm(tail, horizon=m + 5)
         assert v.is_unknown
         assert v.lower_bound == pytest.approx(1.0)
+
+
+def test_swept_verdicts_report_the_levels_they_computed():
+    # an explicit family with top level 4 on a lazy tower: every sweep
+    # stops at level 4, and says so
+    t = make_product_tower(lambda k: k, 2)
+    e = coherent_from_top(t, random_element(t.level(4), stream(33, "top")), 4)
+    assert pro_spectrum(e, 10).horizon == 4
+    assert uniform_norm(e, 10).horizon == 4
+    assert uniform_norm(e, 10).is_unknown
+    assert is_spectrally_bounded(e, 10).horizon == 4
+    assert uniform_norm(e, 10, divergence_threshold=0.0).horizon == 4
+    # an exhausted finite tower reports its own top
+    finite = make_product_tower(lambda k: k, 4, lazy=False)
+    x = coherent_from_top(finite, random_element(finite.level(4), stream(34, "f")), 4)
+    v = uniform_norm(x, 10)
+    assert v.is_bounded and v.certificate == "finite tower exhausted"
+    assert v.horizon == 4
+    # a certificate computes no level and keeps the requested horizon
+    assert uniform_norm(scalar_element(t, 2.0), 10).horizon == 10
+
+
+def test_exp_and_lift_stop_at_the_argument_top_level():
+    from protower.unitary import exp_selfadjoint
+
+    t = make_product_tower(lambda k: k, 2)
+    h = coherent_from_top(
+        t, random_selfadjoint(t.level(4), stream(35, "exp-top")), 4,
+        selfadjoint=True)
+    plain = h.with_certificates(selfadjoint=False)
+    for e in (exp_selfadjoint(h), lift_function(h, ExpI(1.0)),
+              lift_function(plain, ExpI(1.0))):
+        assert e.max_level(10) == 4
+        assert pro_spectrum(e, 10).horizon == 4
+        swept = uniform_norm(e.with_certificates(unitary=False, norm_bound=None), 10)
+        assert swept.is_unknown and swept.horizon == 4
+        assert swept.lower_bound == pytest.approx(1.0, abs=1e-12)

@@ -21,10 +21,21 @@ from protower.core_algebra import (
     RationalSquash,
     StructuralError,
     Tabulated,
+    _adjoint_stack,
+    _apply_function_stacks,
+    _are_normal,
     _block_eigenvalues,
     _block_norm,
     _block_norms,
+    _diagonalize_normal,
+    _diagonalize_normals,
+    _eigenvalue_stack,
     _is_triangular,
+    _rebuild,
+    _spectra,
+    _spectral_radii,
+    _stack_norms,
+    _stacked,
     adjoin_unit_element,
     apply_function,
     cstar_norm,
@@ -422,3 +433,150 @@ def test_failed_stack_svd_names_the_block(monkeypatch):
         _block_norms(stack)
     with pytest.raises(EigensolverError, match="3x3 block, block 0 of a stack of 1"):
         cstar_norm(AlgebraElement(BlockAlgebra((3,)), [stack[2]]))
+
+
+def bits(x) -> bytes:
+    """The bytes of an array, so that 0.0 and -0.0 differ."""
+    x = np.asarray(x)
+    return x.dtype.str.encode() + str(x.shape).encode() + np.ascontiguousarray(x).tobytes()
+
+
+def mixed_stack(rng, m, n):
+    """An (m, n, n) stack whose slices cycle through general, Hermitian,
+    normal, unitary and upper triangular blocks."""
+    alg = BlockAlgebra((n,))
+    kinds = (
+        lambda: ginibre_stack(rng, 1, n)[0],
+        lambda: random_selfadjoint(alg, rng).blocks[0],
+        lambda: random_normal(alg, rng).blocks[0],
+        lambda: random_unitary(alg, rng).blocks[0],
+        lambda: np.triu(ginibre_stack(rng, 1, n)[0]),
+    )
+    return np.stack([kinds[k % len(kinds)]() for k in range(m)])
+
+
+def per_slice_diagonalization(b, tol):
+    """A normal block's unitary and eigenvalues, as one block was always
+    diagonalized: eigh of its Hermitian part when it is Hermitian at its
+    own scale, else a complex Schur form."""
+    import scipy.linalg
+
+    if b.shape[0] == 1:
+        return np.eye(1, dtype=complex), b.reshape(1).copy()
+    scale = max(1.0, _block_norm(b))
+    if np.abs(b - b.conj().T).max() <= tol * scale:
+        w, v = np.linalg.eigh(0.5 * (b + b.conj().T))
+        return v, w.astype(complex)
+    t, z = scipy.linalg.schur(b, output="complex")
+    return z, np.diag(t).copy()
+
+
+def test_stacked_lapack_calls_and_products_equal_per_slice_calls():
+    # the stack kernels rest on these: a batched eigvals, eigh, SVD or
+    # product computes each slice exactly as the call on that slice alone
+    rng = stream(94, "stacked-lapack")
+    for n in range(1, 9):
+        for m in range(1, 8):
+            stack = mixed_stack(rng, m, n)
+            other = ginibre_stack(rng, m, n)
+            herm = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+            adjoints = _adjoint_stack(stack)
+            w, v = np.linalg.eigh(herm)
+            values = np.exp(1j * w.astype(complex))
+            rebuilt = _rebuild(v, values)
+            eigs = np.linalg.eigvals(stack)
+            svals = np.linalg.svd(stack, compute_uv=False)
+            for k in range(m):
+                b = stack[k]
+                wk, vk = np.linalg.eigh(herm[k])
+                assert bits(w[k]) == bits(wk) and bits(v[k]) == bits(vk)
+                assert bits(eigs[k]) == bits(np.linalg.eigvals(b))
+                assert bits(svals[k]) == bits(np.linalg.svd(b, compute_uv=False))
+                assert bits(rebuilt[k]) == bits(
+                    vk @ np.diag(values[k]) @ vk.conj().T)
+                assert bits(adjoints[k]) == bits(b.conj().T)
+                assert bits((stack @ other)[k]) == bits(b @ other[k])
+                assert bits((adjoints @ stack)[k]) == bits(b.conj().T @ b)
+                assert bits((stack @ adjoints)[k]) == bits(b @ b.conj().T)
+
+
+def test_stack_kernels_equal_their_per_element_forms():
+    rng = stream(95, "stack-kernels")
+    tol = 1e-10
+    for n in range(1, 9):
+        for m in range(1, 8):
+            stack = mixed_stack(rng, m, n)
+            eigs = _eigenvalue_stack(stack, 4)
+            for k in range(m):
+                assert bits(eigs[k]) == bits(_block_eigenvalues(stack[k], 4))
+                if n > 1 and k % 5 == 4:  # triangular: read off the diagonal
+                    assert bits(eigs[k]) == bits(np.diag(stack[k]))
+            normal = stack[[k for k in range(m) if k % 5 in (1, 2, 3)]]
+            if normal.size:
+                v, d = _diagonalize_normals(normal, tol, 0)
+                for k, b in enumerate(normal):
+                    vk, dk = per_slice_diagonalization(b, tol)
+                    assert bits(v[k]) == bits(vk) and bits(d[k]) == bits(dk)
+                    v1, d1 = _diagonalize_normal(b, tol, 0)
+                    assert bits(v1) == bits(vk) and bits(d1) == bits(dk)
+    # elements of M_1 + M_2 + M_3, as the selftest sweeps stack them
+    for m in range(1, 8):
+        for draw in (random_element, random_normal, random_selfadjoint):
+            xs = [draw(M123, rng) for _ in range(m)]
+            stacks = _stacked(xs)
+            assert bits(_stack_norms(stacks)) == bits([cstar_norm(x) for x in xs])
+            assert bits(_spectral_radii(stacks)) == bits(
+                [spectral_radius(x) for x in xs])
+            for got, x in zip(_spectra(stacks, 1e-8), xs):
+                assert bits(got) == bits(spectrum(x))
+            assert _are_normal(stacks, tol) == [is_normal(x, tol) for x in xs]
+            for f in (ExpI(1.0), Polynomial.in_z([0.5, -1.0, 0.25j])):
+                if f.analytic or all(is_normal(x) for x in xs):
+                    got = _apply_function_stacks(stacks, f)
+                    for k, x in enumerate(xs):
+                        want = apply_function(x, f).blocks
+                        assert [bits(s[k]) for s in got] == [bits(b) for b in want]
+                else:  # as apply_function refuses the first non-normal element
+                    with pytest.raises(PreconditionError, match="non-normal"):
+                        _apply_function_stacks(stacks, f)
+
+
+def test_apply_function_is_the_per_block_calculus():
+    # f(v diag(d) v*) = v diag(f(d)) v*, block by block, for normal input
+    rng = stream(96, "per-block-calculus")
+    f = ExpI(0.7)
+    for x in [random_normal(M123, rng) for _ in range(10)] + [
+            random_selfadjoint(M123, rng) for _ in range(10)]:
+        want = []
+        for b in x.blocks:
+            v, d = per_slice_diagonalization(b, 1e-10)
+            want.append(v @ np.diag(np.asarray(f(d), dtype=complex)) @ v.conj().T)
+        assert [bits(b) for b in apply_function(x, f).blocks] == [
+            bits(b) for b in want]
+
+
+def test_failed_stacked_eigensolvers_name_the_slice(monkeypatch):
+    marker = 7.0 + 7.0j
+    real = {name: getattr(np.linalg, name) for name in ("eigvals", "eigh")}
+
+    def flaky(name):
+        def call(a, *args, **kwargs):
+            if a.ndim == 3 or a[0, 0] == marker or a[0, 0] == marker.real:
+                raise np.linalg.LinAlgError(f"{name} did not converge")
+            return real[name](a, *args, **kwargs)
+        return call
+
+    for name in real:
+        monkeypatch.setattr(np.linalg, name, flaky(name))
+    stack = ginibre_stack(stream(97, "flaky-eig"), 5, 3)
+    stack[2, 0, 0] = marker
+    with pytest.raises(EigensolverError, match="block 1 .*slice 2 of a stack of 5"):
+        _eigenvalue_stack(stack, 1)
+    with pytest.raises(EigensolverError, match=r"block 1 \(size 3\): eigvals"):
+        _block_eigenvalues(stack[2], 1)
+    herm = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+    herm[2, 0, 0] = marker.real
+    with pytest.raises(EigensolverError, match="block 6, slice 2 of a stack of 5"):
+        _diagonalize_normals(herm, 1e-10, 6)
+    with pytest.raises(EigensolverError, match="failed on block 6: eigh"):
+        _diagonalize_normal(herm[2], 1e-10, 6)

@@ -436,11 +436,11 @@ def full_sweep_verdict(e, horizon, threshold):
         best = max(best, level_value)
         if level_value > threshold:
             return BoundednessVerdict.unbounded(
-                p, level_value, horizon, lower_bound=best)
+                p, level_value, top, lower_bound=best)
     if not t.is_lazy and top >= t.horizon:
         return BoundednessVerdict.bounded(
-            best, "finite tower exhausted", horizon, lower_bound=best)
-    return BoundednessVerdict.unknown(best, horizon)
+            best, "finite tower exhausted", top, lower_bound=best)
+    return BoundednessVerdict.unknown(best, top)
 
 
 def seeded_blocks(seed, make):

@@ -2,12 +2,14 @@
 
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from protower.calculus import seminorm, uniform_norm
 from protower.core_algebra import (
+    BlockAlgebra,
     BranchError,
     PreconditionError,
     cstar_norm,
@@ -28,6 +30,7 @@ from protower.tower import (
     scalar_element,
 )
 from protower.unitary import (
+    DEFAULT_BRANCH_MARGIN,
     exp_selfadjoint,
     identity_component_check,
     is_unitary,
@@ -101,6 +104,21 @@ def test_exp_rejects_non_selfadjoint():
     u = exp_selfadjoint(x, 1.0)
     with pytest.raises(PreconditionError):
         project(u, 2)
+
+
+def test_exp_selfadjoint_judges_each_block_at_its_own_scale():
+    # block 1 is 1e-6 away from self-adjoint: within tol of the level's
+    # scale, set by the 1e6 of block 0, but not of its own
+    t = make_product_tower([1, 2], 2, lazy=False)
+    top = t.level(2).element([[[1e6]], [[0, 1 + 1e-6], [1, 0]]])
+    a = coherent_from_top(t, top, 2)
+    u = exp_selfadjoint(a)
+    assert distance(project(u, 1), t.level(1).scalar(np.exp(1e6j))) <= 1e-12
+    with pytest.raises(PreconditionError, match="level 2 block 1 is not self-adjoint"):
+        project(u, 2)
+    assert uniform_norm(
+        exp_selfadjoint(a, tol=1e-5).with_certificates(unitary=False, norm_bound=None),
+        2).lower_bound == pytest.approx(1.0, abs=1e-5)
 
 
 def test_exp_lipschitz_in_time():
@@ -219,24 +237,35 @@ def test_single_factor_residual_is_the_product_residual():
 
 
 def test_single_factor_reassembles_once(monkeypatch):
-    # the residual unitary_log verified is reused: one exponential per level
-    import protower.unitary as unitary
+    # u's newborn blocks are read once; each is diagonalized twice, for its
+    # logarithm and for the exponential that verifies it, and nothing goes
+    # through apply_function: 2H diagonalizations, where a levelwise check
+    # makes H(H+1). The SVDs are one per newborn block of size > 1 for the
+    # distance to the identity, the two scales and the residual.
+    import protower.core_algebra as core_algebra
 
-    calls = []
-    real = unitary.apply_function
+    counts = Counter()
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(unitary, "apply_function", counted)
-    t = small_tower()
-    top = random_unitary_near_identity(
-        t.level(4), stream(92, "reassemble-once"), max_distance=0.99)
-    fact = identity_component_check(
-        coherent_from_top(t, top, 4, unitary=True), horizon=4)
-    assert len(fact.factors) == 1
-    assert len(calls) == 4
+    monkeypatch.setattr(core_algebra, "_diagonalize_normals", counted(
+        "diagonalize", core_algebra._diagonalize_normals))
+    monkeypatch.setattr(core_algebra, "apply_function", counted(
+        "apply_function", core_algebra.apply_function))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    for levels in (4, 20):
+        t = small_tower(levels)
+        top = random_unitary_near_identity(
+            t.level(levels), stream(92, "reassemble-once"), max_distance=0.99)
+        u = coherent_from_top(t, top, levels, unitary=True)
+        counts.clear()
+        fact = identity_component_check(u, horizon=levels)
+        assert len(fact.factors) == 1
+        assert counts == {"diagonalize": 2 * levels, "svd": 4 * (levels - 1)}
 
 
 def test_identity_component_split_when_branch_crowded():
@@ -366,3 +395,88 @@ def test_homomorphism_commutes_with_polynomial_calculus():
         lhs = quo.level_map(3).apply(apply_function(x, g))
         rhs = apply_function(quo.level_map(3).apply(x), g)
         assert distance(lhs, rhs) <= 1e-10
+
+
+def twisted_twins(newborn_sizes, rng):
+    """Two towers whose level p adds one block of size newborn_sizes[p - 1]:
+    a twisted one, whose levels hold their blocks in a seeded order and
+    whose connecting maps conjugate every surviving block by a Haar
+    unitary, and its untwisted twin, with the same levels and routes and
+    no conjugators."""
+    from protower.tower import ConnectingMap, Tower
+
+    orders = [rng.permutation(p) for p in range(1, len(newborn_sizes) + 1)]
+    algebras = []
+    for order in orders:
+        sizes = [0] * len(order)
+        for c, pos in enumerate(order):
+            sizes[pos] = newborn_sizes[c]
+        algebras.append(BlockAlgebra(tuple(sizes)))
+    twisted, plain = [], []
+    for k in range(1, len(orders)):
+        lower, upper = orders[k - 1], orders[k]
+        routes = [None] * len(lower)
+        for c in range(len(lower)):
+            u = random_unitary(BlockAlgebra((newborn_sizes[c],)), rng).blocks[0]
+            routes[lower[c]] = (int(upper[c]), u)
+        twisted.append(ConnectingMap(algebras[k], algebras[k - 1], tuple(routes)))
+        plain.append(ConnectingMap(algebras[k], algebras[k - 1], tuple(
+            (s, None) for s, _ in routes)))
+    return Tower(algebras, twisted), Tower(algebras, plain)
+
+
+def twin_unitaries(seed):
+    """(twisted, untwisted, branch_margin) triples of coherent unitaries
+    with one top level on both towers: near the identity, arbitrary, and
+    with a newborn block of 12th roots of unity that crowds every ray."""
+    rng = stream(seed, "twin-unitaries")
+    cases = []
+    for draw in (
+            lambda alg: random_unitary_near_identity(alg, rng, 0.99),
+            lambda alg: random_unitary(alg, rng)):
+        towers = twisted_twins([1, 2, 3, 4, 5], rng)
+        top = draw(towers[0].level(5))
+        cases.append(tuple(
+            coherent_from_top(t, top, 5, unitary=True) for t in towers)
+            + (DEFAULT_BRANCH_MARGIN,))
+    towers = twisted_twins([1, 2, 12], rng)
+    alg = towers[0].level(3)
+    roots = np.diag(np.exp(1j * np.arange(12) * (2 * math.pi / 12)))
+    top = alg.element([
+        roots if n == 12 else random_unitary(BlockAlgebra((n,)), rng).blocks[0]
+        for n in alg.block_sizes])
+    cases.append(tuple(
+        coherent_from_top(t, top, 3, unitary=True) for t in towers) + (0.3,))
+    return cases
+
+
+@pytest.mark.parametrize("seed", [101, 102, 103])
+def test_unitary_layer_agrees_on_twisted_twins(seed):
+    # the unitary layer reads only newborn blocks and builds the rest of a
+    # logarithm through the sections of the connecting maps; on a twisted
+    # tower those conjugate, so the logarithms must still be coherent, the
+    # branches must be the twin's and the residuals must match its residuals
+    # up to rounding
+    from protower.tower import check_coherence
+
+    factor_counts = set()
+    for twisted, plain, margin in twin_unitaries(seed):
+        top = twisted.max_level(10)
+        facts = [identity_component_check(u, top, branch_margin=margin)
+                 for u in (twisted, plain)]
+        assert len(facts[0].factors) == len(facts[1].factors)
+        factor_counts.add(len(facts[0].factors))
+        assert facts[0].branch_angles == facts[1].branch_angles
+        assert abs(facts[0].residual - facts[1].residual) <= 1e-12
+        assert all(f.valid for f in facts)
+        for fact in facts:
+            logs = list(fact.factors)
+            if len(logs) == 1:
+                logs.append(unitary_log(
+                    fact.target, fact.branch_angles[0], horizon=top))
+            for log in logs:
+                assert check_coherence(log, top).passed
+        for u in (twisted, plain):
+            assert is_unitary(u, top)
+            assert not is_unitary(1.001 * u, top)
+    assert factor_counts >= {1, 2}
