@@ -305,12 +305,9 @@ def check_exactness(
     # routes: b and alpha(f_n(a)) are coherent, so an older block repeats a
     # distance already measured, and where alpha sends 0, b is 0 as well
     # (by naturality b_p lies in ker(beta_p), which equals im(alpha_p)).
-    routed_newborn = []
-    for p, ma in enumerate(maps_a, start=1):
-        inherited = _routed_sources(mid.map(p - 1)) if p > 1 else set()
-        routed_newborn.append([
-            j for j, route in enumerate(ma.routes)
-            if route is not None and j not in inherited])
+    routed_newborn = [
+        [j for j in mid.newborn(p) if ma.routes[j] is not None]
+        for p, ma in enumerate(maps_a, start=1)]
     src_level = alpha.level_index(horizon)
 
     traces = []

@@ -22,16 +22,20 @@ from typing import Callable
 import numpy as np
 
 from .core_algebra import (
+    AlgebraElement,
+    AlgebraError,
+    BlockAlgebra,
     ExpI,
     FunctionDescriptor,
     PreconditionError,
+    _are_normal,
     _block_eigenvalues,
     _block_norm,
-    apply_function,
+    _normal_calculus,
     cluster_points,
-    cstar_norm,
+    is_selfadjoint,
 )
-from .tower import Certificates, CoherentElement, project
+from .tower import Certificates, CoherentElement
 
 __all__ = [
     "BoundednessVerdict",
@@ -97,8 +101,12 @@ class SpectrumReport:
 
 
 def seminorm(e: CoherentElement, p: int) -> float:
-    """The level-p C*-seminorm: operator norm of the level-p component."""
-    return cstar_norm(project(e, p))
+    """The level-p C*-seminorm: operator norm of the level-p component.
+
+    The blocks of level p are, up to conjugation, those born at levels
+    1..p, so it is the largest norm of a newborn block up to level p.
+    """
+    return max(_block_norm(b) for _, _, blocks in e.newborn_blocks(p) for b in blocks)
 
 
 # Relative slack per unit of block size that covers the rounding of the
@@ -265,8 +273,9 @@ def lift_function(
 ) -> CoherentElement:
     """Apply a function levelwise, with whatever certificates survive.
 
-    On a non-unital tower (an ideal) the function must fix 0, otherwise
-    the result would leave the ideal. The result stops at e's top level.
+    The function acts on each block alone (``_lifted``). On a non-unital
+    tower (an ideal) the function must fix 0, otherwise the result would
+    leave the ideal. The result stops at e's top level.
     Coherence of the result is the compatibility of the calculus with the
     connecting maps and is checked by the usual coherence report, not
     here.
@@ -274,12 +283,6 @@ def lift_function(
     if not e.tower.unital and not f.fixes_zero():
         raise PreconditionError(
             f"{f!r} does not fix 0, so it does not act on an ideal")
-
-    def gen(p: int, indices: list[int]) -> list[np.ndarray]:
-        # the whole level: normality and domain tolerances scale with it
-        x = apply_function(project(e, p), f, tol)
-        return [x.blocks[i] for i in indices]
-
     cert = e.certificates
     bound = reason = None
     if cert.selfadjoint:
@@ -293,9 +296,38 @@ def lift_function(
     unitary = cert.selfadjoint and isinstance(f, ExpI)
     if unitary:
         bound, reason = 1.0, "exponential of a self-adjoint element"
-    return e._derive(gen, Certificates.bounded(
+    return e._derive(_lifted(e, f, tol), Certificates.bounded(
         bound, reason,
         selfadjoint=cert.selfadjoint and _real_on_reals(f), unitary=unitary))
+
+
+def _lifted(e: CoherentElement, f: FunctionDescriptor, tol: float,
+            selfadjoint: bool = False) -> Callable[[int, list[int]], list[np.ndarray]]:
+    """The generator of f(e): f of each requested block alone, judged at its
+    own scale. A normal block, or with ``selfadjoint`` a block that must be
+    self-adjoint, goes through the normal calculus; a non-normal one needs
+    an analytic f. A failure names the level and the block.
+    """
+    def gen(p: int, indices: list[int]) -> list[np.ndarray]:
+        out = []
+        for i, b in zip(indices, e.level_blocks(p, indices)):
+            where = f"level {p} block {i}"
+            if selfadjoint and not is_selfadjoint(
+                    AlgebraElement(BlockAlgebra(b.shape[:1]), [b]), tol):
+                raise PreconditionError(f"{where} is not self-adjoint within {tol}")
+            try:
+                if selfadjoint or _are_normal([b[None]], tol)[0]:
+                    out.append(_normal_calculus([b[None]], f, tol, [i])[0][0])
+                    continue
+                if not f.analytic:
+                    raise PreconditionError(f"{f!r} needs a normal block")
+                f.check_domain(_block_eigenvalues(b, i), tol)
+                out.append(f.apply_matrix(b))
+            except AlgebraError as exc:
+                raise type(exc)(f"{where}: {exc}") from exc
+        return out
+
+    return gen
 
 
 def _real_on_reals(f: FunctionDescriptor) -> bool:

@@ -141,24 +141,25 @@ class BlockAlgebra:
             self, tuple(np.array([[v]], dtype=complex) for v in values))
 
 
+def _frozen(b) -> np.ndarray:
+    """A read-only complex copy of a block; an already-frozen complex array
+    is shared, since nobody can write it."""
+    if (isinstance(b, np.ndarray) and b.dtype == np.complex128
+            and not b.flags.writeable):
+        return b
+    b = np.array(b, dtype=complex, copy=True)
+    b.setflags(write=False)
+    return b
+
+
 class AlgebraElement:
     """A block-diagonal complex matrix, immutable after construction."""
 
     __slots__ = ("parent", "blocks")
 
     def __init__(self, parent: BlockAlgebra, blocks):
-        frozen = []
-        for b in blocks:
-            # already-frozen arrays are safe to share: nobody can write them
-            if (isinstance(b, np.ndarray) and b.dtype == np.complex128
-                    and not b.flags.writeable):
-                frozen.append(b)
-                continue
-            b = np.array(b, dtype=complex, copy=True)
-            b.setflags(write=False)
-            frozen.append(b)
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "blocks", tuple(frozen))
+        object.__setattr__(self, "blocks", tuple(_frozen(b) for b in blocks))
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
@@ -814,16 +815,19 @@ def _rebuild(v: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _normal_calculus(
-    stacks: list[np.ndarray], f: FunctionDescriptor, tol: float
+    stacks: list[np.ndarray], f: FunctionDescriptor, tol: float,
+    block_indices: list[int] | None = None,
 ) -> list[np.ndarray]:
     """f of each element of a stack list, whose elements must be normal.
 
     Every block position is diagonalized as one stack, f's domain is
     checked on all eigenvalues, and each block is rebuilt as
     v diag(f(d)) v*. apply_function on a normal element is its height-1
-    case.
+    case. Errors name each stack's block by ``block_indices``, by default
+    its position.
     """
-    eigen = [_diagonalize_normals(stack, tol, i) for i, stack in enumerate(stacks)]
+    names = range(len(stacks)) if block_indices is None else block_indices
+    eigen = [_diagonalize_normals(stack, tol, i) for i, stack in zip(names, stacks)]
     f.check_domain(np.concatenate([d.ravel() for _, d in eigen]), tol)
     return [_rebuild(v, np.asarray(f(d), dtype=complex)) for v, d in eigen]
 

@@ -98,13 +98,9 @@ def character_space(tower: Tower, horizon: int) -> CoveredSpace:
         kept = {
             route[0]: chain[-1][j]
             for j, route in enumerate(tower.map(p - 1).routes)}
-        ids = []
-        for i in range(tower.level(p).num_blocks):
-            if i not in kept:
-                kept[i] = born
-                born += 1
-            ids.append(kept[i])
-        chain.append(tuple(ids))
+        for i in tower.newborn(p):
+            kept[i], born = born, born + 1
+        chain.append(tuple(kept[i] for i in range(tower.level(p).num_blocks)))
     return CoveredSpace(tuple(f"chi{c}" for c in range(born)), tuple(chain))
 
 

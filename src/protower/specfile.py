@@ -205,7 +205,7 @@ class SpecFile:
         if "levels" in f:
             levels = [tower.level(p).element(blocks)
                       for p, blocks in enumerate(f["levels"], start=1)]
-            return CoherentElement(tower, levels=levels, certificates=Certificates(
+            return CoherentElement.from_levels(tower, levels, Certificates(
                 selfadjoint=f["selfadjoint"]))
         gen = f["generator"]
         if gen["kind"] == "L_superdiagonal":

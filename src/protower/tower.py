@@ -3,8 +3,8 @@
 A tower models an inverse limit of finite-dimensional C*-algebras along a
 chain of levels 1, 2, 3, ...; connecting maps delete blocks and conjugate
 the survivors by unitaries, which makes them surjective *-homomorphisms by
-construction. Elements of the limit are coherent families, given either as
-explicit per-level data or as a lazy generator rule.
+construction. Elements of the limit are coherent families given by a
+generator rule; one known by its data keeps only the blocks each level adds.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .core_algebra import (
     PreconditionError,
     StructuralError,
     TruncationError,
+    _block_norm,
+    _frozen,
     cstar_norm,
     distance,
 )
@@ -55,6 +57,11 @@ def _compose_conjugators(outer, inner):
     if inner is None:
         return outer
     return outer @ inner
+
+
+def _conjugate(u, b):
+    """u b u*, where a conjugator of None is the identity."""
+    return b if u is None else u @ b @ u.conj().T
 
 
 @dataclass(frozen=True)
@@ -144,8 +151,7 @@ class BlockMap:
                 n = self.target.block_sizes[j]
                 blocks.append(np.zeros((n, n), dtype=complex))
                 continue
-            b, u = next(fetched), route[1]
-            blocks.append(b if u is None else u @ b @ u.conj().T)
+            blocks.append(_conjugate(route[1], next(fetched)))
         return blocks
 
     def section(self, y: AlgebraElement) -> AlgebraElement:
@@ -293,6 +299,11 @@ class Tower:
         self.ensure(p + 1)
         return self._maps[p - 1]
 
+    def newborn(self, p: int) -> list[int]:
+        """The blocks born at level p: those no route of ``map(p - 1)`` reads."""
+        inherited = {route[0] for route in self.map(p - 1).routes} if p > 1 else ()
+        return [i for i in range(self.level(p).num_blocks) if i not in inherited]
+
     def connecting(self, p: int, q: int) -> BlockMap:
         """Composite map from level q down to level p (p <= q)."""
         if p > q:
@@ -405,61 +416,106 @@ class Certificates:
 class CoherentElement:
     """A compatible family of per-level elements of a tower.
 
-    Levels come either from an explicit list or from a generator rule,
-    and live in one level store. An explicit list seeds the store and is
-    the element's top level; a generator's top level is the tower's,
-    none on a lazy tower, unless the element is derived from others (by
-    arithmetic, ``lift_function`` or ``exp_selfadjoint``) and stops at
-    their top. A generator is a pure function
-    ``gen(p, indices)`` that returns the blocks of level p at the given
-    0-based block indices, in order, and builds nothing else:
-    ``materialize(p)`` asks it for every block of level p, while
-    ``level_blocks`` asks only for the blocks a caller needs, such as the
-    blocks born at level p, which ``newborn_blocks`` walks.
-    ``certificates`` is one immutable
-    ``Certificates`` value; ``with_certificates`` makes a copy with
-    another. ``a + b``, ``a - b``, ``a * b``, ``c * a`` and
-    ``a.adjoint()`` build elements blockwise, without certificates.
+    Levels come from a generator rule, a pure function ``gen(p, indices)``
+    that returns the blocks of level p at the given 0-based block indices,
+    in order, and builds nothing else: ``materialize(p)`` asks it for every
+    block of level p and memoizes the level, while ``level_blocks`` asks
+    only for the blocks a caller needs, such as the blocks born at level p,
+    which ``newborn_blocks`` walks. A family known by its data keeps only
+    the blocks each level adds (``from_newborn``; ``from_levels`` checks
+    whole levels where they enter). The top level is the tower's, none on
+    a lazy tower, unless the family is given up to a level or derived from
+    others (by arithmetic, ``lift_function`` or ``exp_selfadjoint``) and
+    stops at their top. ``certificates`` is one immutable ``Certificates``
+    value; ``with_certificates`` makes a copy with another. ``a + b``,
+    ``a - b``, ``a * b``, ``c * a`` and ``a.adjoint()`` build elements
+    blockwise, without certificates.
     """
 
     def __init__(
         self,
         tower: Tower,
-        levels=None,
-        generator: Optional[
-            Callable[[int, list[int]], Sequence[np.ndarray]]] = None,
+        generator: Callable[[int, list[int]], Sequence[np.ndarray]],
         certificates: Certificates = Certificates(),
     ):
-        if (levels is None) == (generator is None):
-            raise StructuralError(
-                "exactly one of explicit levels or a generator is required")
         self.tower = tower
         self._certificates = certificates
         self._generator = generator
-        self._cache: dict[int, AlgebraElement] = {}
+        self._cache: dict[int, AlgebraElement] = {}  # materialize's memo
         self._top = None if tower.is_lazy else tower.horizon
         self._lock = threading.Lock()
-        if levels is not None:
-            self._cache = dict(enumerate(levels, start=1))
-            self._top = len(self._cache)
-            if not self._cache:
-                raise StructuralError(
-                    "an explicit family needs at least one level")
-            for p, x in self._cache.items():
-                if x.parent != tower.level(p):
-                    raise StructuralError(
-                        f"explicit level {p} lives in the wrong algebra")
+
+    @classmethod
+    def from_newborn(cls, tower: Tower, born,
+                     certificates: Certificates = Certificates()) -> CoherentElement:
+        """The family whose newborn blocks are ``born``: the (level, newborn
+        indices, blocks) triples of ``newborn_blocks`` for levels 1..q in
+        order, where q is its top level. Every other block of level p is the
+        section of level p - 1, rebuilt level by level from the highest level
+        below p that materialize has memoized, or from level 1.
+        """
+        newborn: list[dict[int, np.ndarray]] = []
+        for p, fresh, blocks in born:
+            if p != len(newborn) + 1 or list(fresh) != tower.newborn(p):
+                raise StructuralError(f"level {p} does not list the blocks "
+                                      f"born at level {len(newborn) + 1}")
+            newborn.append(dict(zip(fresh, map(_frozen, blocks))))
+        if not newborn:
+            raise StructuralError("a family needs at least one level")
+
+        def gen(p: int, indices: list[int]) -> list[np.ndarray]:
+            level = newborn[p - 1]
+            if not all(i in level for i in indices):
+                start = max((k for k in list(out._cache) if k < p), default=1)
+                level = list(out._cache[start].blocks if start in out._cache
+                             else newborn[0].values())
+                for k in range(start + 1, p + 1):
+                    level = tower.map(k - 1).section_blocks(level)
+                    for i, b in newborn[k - 1].items():
+                        level[i] = b
+            return [level[i] for i in indices]
+
+        out = cls(tower, gen, certificates)
+        out._top = len(newborn)
+        return out
+
+    @classmethod
+    def from_levels(cls, tower: Tower, levels: Sequence[AlgebraElement],
+                    certificates: Certificates = Certificates()) -> CoherentElement:
+        """``from_newborn`` of the levels 1..q, once every block that level p
+        inherits passes ``CoherenceReport``'s rule against the section of
+        level p - 1; otherwise StructuralError names the level and the block.
+        """
+        born = []
+        for p, x in enumerate(levels, start=1):
+            if x.parent != tower.level(p):
+                raise StructuralError(f"explicit level {p} lives in the wrong algebra")
+            if p > 1:
+                below = tower.map(p - 1).section_blocks(levels[p - 2].blocks)
+                r, s = max((_block_norm(x.blocks[s] - below[s]), s)
+                           for s, _ in tower.map(p - 1).routes)
+                # an exact match needs no scale
+                if r and not CoherenceReport(
+                        (r,), (cstar_norm(x),), DEFAULT_COHERENCE_TOL).passed:
+                    raise StructuralError(f"level {p} block {s} differs from the "
+                                          f"section of level {p - 1} by {r:.3e}")
+            fresh = tower.newborn(p)
+            born.append((p, fresh, [x.blocks[i] for i in fresh]))
+        return cls.from_newborn(tower, born, certificates)
 
     @property
     def certificates(self) -> Certificates:
         return self._certificates
 
-    def _stored(self, p: int) -> AlgebraElement | None:
-        """Level p when it is already stored, else None."""
+    def _check_level(self, p: int):
         if p < 1:
             raise PreconditionError(f"levels are 1-based, got {p}")
         if self._top is not None and p > self._top:
             raise TruncationError(f"level {p} beyond top level {self._top}")
+
+    def _stored(self, p: int) -> AlgebraElement | None:
+        """Level p when materialize has memoized it, else None."""
+        self._check_level(p)
         return self._cache.get(p)
 
     def _generate(self, p: int, indices) -> list[np.ndarray]:
@@ -502,7 +558,8 @@ class CoherentElement:
         return [x.blocks[i] for i in indices]
 
     def with_certificates(self, **updates) -> CoherentElement:
-        """Copy with certificate fields replaced, sharing the level store."""
+        """Copy with certificate fields replaced, sharing the generator and
+        materialize's memo."""
         out = copy.copy(self)
         fields = vars(self.certificates) | updates
         out._certificates = Certificates.of(**fields)
@@ -523,12 +580,12 @@ class CoherentElement:
         seen, and keeps its norm and its eigenvalues. Every block of a
         level is born at that level or carried up from the one below, so
         the blocks seen up to level p are exactly those of level p. Yields
-        (level, newborn indices, their blocks).
+        (level, newborn indices, their blocks); a horizon past the top level
+        errors.
         """
-        t = self.tower
+        self._check_level(horizon)
         for p in range(1, horizon + 1):
-            inherited = {route[0] for route in t.map(p - 1).routes} if p > 1 else ()
-            fresh = [i for i in range(t.level(p).num_blocks) if i not in inherited]
+            fresh = self.tower.newborn(p)
             # levels without newborn blocks need no data at all
             yield p, fresh, self.level_blocks(p, fresh) if fresh else []
 
@@ -582,18 +639,27 @@ def coherent_from_top(
 ) -> CoherentElement:
     """Coherent family obtained by pushing one element down the chain.
 
-    The result is exactly coherent (up to rounding in the conjugations)
-    because lower levels are defined as images of the top one.
+    Only the blocks each level adds are built: a block born at level p is
+    the top block routed to it, conjugated by the composite of the
+    conjugators along its route. The result is exactly coherent (up to
+    rounding in the conjugations) because lower levels are defined as
+    images of the top one.
     """
     q = top_level if top_level is not None else tower.horizon
     if top.parent != tower.level(q):
         raise StructuralError("top element does not live at the stated level")
-    levels = [None] * q
-    levels[q - 1] = top
-    for p in range(q - 1, 0, -1):
-        levels[p - 1] = tower.map(p).apply(levels[p])
-    return CoherentElement(
-        tower, levels=levels, certificates=Certificates.of(**certificates))
+    # (top block, composite conjugator) behind each block of level p
+    behind = [(i, None) for i in range(top.parent.num_blocks)]
+    born = []
+    for p in range(q, 0, -1):
+        fresh = tower.newborn(p)
+        born.append((p, fresh, [
+            _conjugate(behind[i][1], top.blocks[behind[i][0]]) for i in fresh]))
+        if p > 1:
+            behind = [(behind[s][0], _compose_conjugators(u, behind[s][1]))
+                      for s, u in tower.map(p - 1).routes]
+    return CoherentElement.from_newborn(
+        tower, born[::-1], Certificates.of(**certificates))
 
 
 def scalar_element(tower: Tower, lam: complex) -> CoherentElement:

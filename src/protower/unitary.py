@@ -28,18 +28,16 @@ import numpy as np
 from .core_algebra import (
     AlgebraElement,
     AlgebraError,
-    BlockAlgebra,
     BranchError,
     ExpI,
     PreconditionError,
     _block_eigenvalues,
     _block_norm,
     _diagonalize_normal,
-    _normal_calculus,
     _rebuild,
-    is_selfadjoint,
     ray_distance,
 )
+from .calculus import _lifted
 from .tower import (
     Certificates, CoherentElement, Tower, TowerHomomorphism, scalar_element)
 
@@ -100,18 +98,7 @@ def exp_selfadjoint(
     a's top level, carries the unitarity certificate, and stays coherent
     because the exponential commutes with the connecting maps.
     """
-    f = ExpI(t)
-
-    def gen(p: int, indices: list[int]) -> list[np.ndarray]:
-        out = []
-        for i, b in zip(indices, a.level_blocks(p, indices)):
-            if not is_selfadjoint(AlgebraElement(BlockAlgebra(b.shape[:1]), [b]), tol):
-                raise PreconditionError(
-                    f"level {p} block {i} is not self-adjoint within {tol}")
-            out.append(_normal_calculus([b[None]], f, tol)[0][0])
-        return out
-
-    return a._derive(gen, Certificates.bounded(
+    return a._derive(_lifted(a, ExpI(t), tol, selfadjoint=True), Certificates.bounded(
         1.0, "exponential of a self-adjoint element", unitary=True))
 
 
@@ -188,20 +175,15 @@ def _log_of(
     """The logarithm at the branch of the unitary whose newborn blocks are
     ``born``, and its reassembly residual, unjudged.
 
-    Each newborn block gets its own logarithm. The other blocks of level p
-    are those of level p - 1, conjugated back by the section of the
-    connecting map.
+    Each newborn block gets its own logarithm; the other blocks are
+    sections of the level below (``CoherentElement.from_newborn``).
     """
-    levels: list[AlgebraElement] = []
-    for p, fresh, blocks in born:
-        out = (tower.map(p - 1).section_blocks(levels[-1].blocks) if levels
-               else [None] * len(fresh))
-        for i, b in zip(fresh, blocks):
-            out[i] = _block_log(b, branch_angle, tol, i, level=p)
-        levels.append(AlgebraElement(tower.level(p), out))
-    log = CoherentElement(tower, levels=levels, certificates=Certificates.bounded(
-        max(abs(branch_angle - 2 * math.pi), abs(branch_angle)),
-        "arguments lie in the branch window", selfadjoint=True))
+    log = CoherentElement.from_newborn(tower, [
+        (p, fresh, [_block_log(b, branch_angle, tol, i, level=p)
+                    for i, b in zip(fresh, blocks)])
+        for p, fresh, blocks in born], Certificates.bounded(
+            max(abs(branch_angle - 2 * math.pi), abs(branch_angle)),
+            "arguments lie in the branch window", selfadjoint=True))
     return log, _reassembly_residual((log,), born, tower)
 
 

@@ -413,6 +413,11 @@ def entry(data: dict, section: str, name: str) -> dict:
      ["tower 'pair'", "'block_sizes'", "'a'"]),
     (lambda d: entry(d, "elements", "hpair").update(levels=5),
      ["element 'hpair'", "'levels'", "5"]),
+    # an inherited block that is not the section of the level below
+    (lambda d: entry(d, "elements", "hpair")["levels"][1].__setitem__(0, [
+        [[5 * x for x in v] for v in row]
+        for row in entry(d, "elements", "hpair")["levels"][1][0]]),
+     ["element 'hpair'", "level 2", "block 0"]),
     (lambda d: entry(d, "elements", "ramp")["generator"].update(bound="abc"),
      ["element 'ramp'", "'bound'", "'abc'"]),
     (lambda d: entry(d, "elements", "upair")["generator"].update(t="x"),

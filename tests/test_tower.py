@@ -13,6 +13,7 @@ from protower.calculus import (
     is_spectrally_bounded,
     lift_function,
     pro_spectrum,
+    seminorm,
     uniform_norm,
 )
 from protower.core_algebra import (
@@ -32,6 +33,7 @@ from protower.randomness import (
     random_element,
     random_selfadjoint,
     random_unitary,
+    random_unitary_near_identity,
     stream,
 )
 from protower.tower import (
@@ -159,13 +161,18 @@ def test_check_coherence_passes_and_reports():
     noise[0, 0] = 1e-3
     bumped[1] = bumped[1] + t.level(2).element(
         [np.array([[0.0]], dtype=complex), noise])
-    bad = CoherentElement(t, levels=bumped)
+    bad = CoherentElement(
+        t, generator=lambda p, indices: [bumped[p - 1].blocks[i] for i in indices])
     report = check_coherence(bad, 4)
     assert not report.passed
     # the perturbed block of level 2 is deleted by the map down to level 1,
     # so the defect shows up against level 3
     assert report.residuals[0] == 0.0
     assert report.residuals[1] == pytest.approx(1e-3, rel=1e-6)
+    # explicit levels are checked where they enter, by the same rule
+    assert CoherentElement.from_levels(t, corrupted).max_level(9) == 4
+    with pytest.raises(StructuralError, match="level 3 block 1 "):
+        CoherentElement.from_levels(t, bumped)
 
 
 def test_generator_required_beyond_explicit_levels():
@@ -352,6 +359,10 @@ def test_sweeps_ask_only_for_newborn_blocks():
     assert verdict.lower_bound == pytest.approx(59.0, rel=1e-12)
 
     calls.clear()
+    assert seminorm(e, 60) == pytest.approx(59.0, rel=1e-12)
+    assert calls == newborn
+
+    calls.clear()
     x = project(e, 60)
     assert project(e, 60) is x
     assert calls == [(60, tuple(range(60)))]
@@ -365,6 +376,9 @@ def test_generator_block_shapes_are_checked():
     short = CoherentElement(t, generator=lambda p, indices: [])
     with pytest.raises(StructuralError, match="0 blocks of level 1"):
         uniform_norm(short, 2)
+    # newborn data must list exactly the blocks each level adds
+    with pytest.raises(StructuralError, match="blocks born at level 2"):
+        CoherentElement.from_newborn(t, [(1, [0], [np.eye(1)]), (2, [0], [np.eye(1)])])
 
 
 def twisted_chain(levels, rng):
@@ -386,6 +400,62 @@ def twisted_chain(levels, rng):
             routes[lower[c]] = (int(upper[c]), u)
         maps.append(ConnectingMap(algebras[k], algebras[k - 1], tuple(routes)))
     return Tower(algebras, maps), orders
+
+
+def pushed_down(tower, top, q):
+    """Levels 1..q of the family whose level q is ``top``, each the whole
+    image of the level above: the whole-level store that explicit families
+    kept, kept as the oracle of the newborn store."""
+    levels = [top]
+    for p in range(q - 1, 0, -1):
+        levels.append(tower.map(p).apply(levels[-1]))
+    return levels[::-1]
+
+
+def test_newborn_store_equals_whole_level_pushdown():
+    from protower.unitary import unitary_log
+
+    horizon = 7
+    # three twisted towers, within rounding; a prefix tower routes without
+    # conjugators, so there the two stores agree bitwise (tol 0)
+    cases = [(twisted_chain(horizon, stream(seed, "newborn-store"))[0], 1e-12)
+             for seed in range(3)]
+    cases.append((make_product_tower(lambda k: k, horizon, lazy=False), 0.0))
+    for t, tol in cases:
+        rng = stream(horizon, "newborn-store-tops")
+        x_top = random_element(t.level(horizon), rng)
+        u_top = random_unitary_near_identity(t.level(horizon), rng)
+        log = unitary_log(coherent_from_top(t, u_top, horizon, unitary=True))
+        families = [(log, pushed_down(t, project(log, horizon), horizon))]
+        for top in (x_top, u_top):
+            oracle = pushed_down(t, top, horizon)
+            families += [(coherent_from_top(t, top, horizon), oracle),
+                         (CoherentElement.from_levels(t, oracle), oracle)]
+        for e, oracle in families:
+            for p in range(1, horizon + 1):
+                # newborn blocks only, then the level rebuilt through sections
+                assert abs(seminorm(e, p) - cstar_norm(oracle[p - 1])) <= tol
+                assert distance(project(e, p), oracle[p - 1]) <= tol
+
+
+def test_deep_level_materializes_without_recursion():
+    import sys
+
+    depth = 200
+    t = make_product_tower(lambda k: 1, 1)
+    e = coherent_from_top(t, t.level(depth).diagonal(range(depth)), depth)
+    limit = sys.getrecursionlimit()
+    frames, f = 0, sys._getframe()
+    while f is not None:
+        frames, f = frames + 1, f.f_back
+    # far fewer frames than levels: one frame per level would overflow
+    sys.setrecursionlimit(frames + 50)
+    try:
+        level = project(e, depth)
+        assert seminorm(e, depth) == depth - 1
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [b[0, 0] for b in level.blocks] == list(range(depth))
 
 
 def test_sweeps_match_full_levels_on_twisted_tower():
