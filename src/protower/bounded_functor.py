@@ -26,14 +26,11 @@ from .core_algebra import (
     PreconditionError,
     RationalSquash,
     _adjoint_stack,
+    _block_functions,
     _block_norm,
-    _diagonalize_normal,
-    _rebuild,
     _stack_distances,
     _stack_norms,
-    apply_function,
     distance,
-    is_normal,
     spectral_radius,
 )
 from .randomness import random_element
@@ -44,7 +41,6 @@ from .tower import (
     TowerHomomorphism,
     closed_ideal,
     coherent_from_top,
-    project,
 )
 
 __all__ = [
@@ -224,43 +220,27 @@ def _preimage(m: BlockMap, y: AlgebraElement) -> AlgebraElement:
 
 def _squash_image(
     level_map: BlockMap,
-    x: AlgebraElement,
+    a: CoherentElement,
+    q: int,
     indices: list[int],
     trace_length: int,
-    rational_route: bool,
 ) -> list[list[np.ndarray]]:
-    """alpha(f_n(x)) on routed target blocks ``indices``, n = 1..trace_length.
+    """alpha(f_n(a)) on routed target blocks ``indices``, n = 1..trace_length.
 
-    f_n is the rational squash of index n. When alpha carries no topology
-    data (declared discontinuous), f_n(x) is formed as a rational
-    expression in x, so that its image under alpha is determined by
-    alpha(x) alone. Otherwise a normal x is diagonalized once and f_n is
-    evaluated on its eigenvalues; a non-normal x goes through the
-    functional calculus for each n. Only the source blocks routed to
-    ``indices`` are touched.
+    f_n is the rational squash of index n and ``level_map`` maps level q
+    of a. Only the source blocks routed to ``indices`` are read, and each
+    goes through the per-block calculus (``_block_functions``) once, for
+    all n; the routes then conjugate the results into place.
     """
-    tol = DEFAULT_NORMALITY_TOL
     squashes = [RationalSquash(n) for n in range(1, trace_length + 1)]
     sources = sorted({level_map.routes[j][0] for j in indices})
-    if not rational_route and not is_normal(x, tol):
-        per_n = [apply_function(x, f, tol).blocks for f in squashes]
-    elif not indices:
-        return [[] for _ in squashes]
-    elif rational_route:
-        per_n = [
-            {s: f.apply_matrix(x.blocks[s]) for s in sources} for f in squashes]
-    else:
-        eigen = {s: _diagonalize_normal(x.blocks[s], tol, s) for s in sources}
-        points = np.concatenate([d for _, d in eigen.values()])
-        per_n = []
-        for f in squashes:
-            f.check_domain(points, tol)
-            per_n.append({
-                s: _rebuild(v, np.asarray(f(d), dtype=complex))
-                for s, (v, d) in eigen.items()})
+    per_source = {
+        s: _block_functions(b, squashes, DEFAULT_NORMALITY_TOL, s, q)
+        for s, b in zip(sources, a.level_blocks(q, sources))}
     return [
-        level_map.apply_blocks(indices, lambda wanted: [blocks[s] for s in wanted])
-        for blocks in per_n]
+        level_map.apply_blocks(
+            indices, lambda wanted, k=k: [per_source[s][k] for s in wanted])
+        for k in range(trace_length)]
 
 
 def check_exactness(
@@ -306,8 +286,8 @@ def check_exactness(
     # distance already measured, and where alpha sends 0, b is 0 as well
     # (by naturality b_p lies in ker(beta_p), which equals im(alpha_p)).
     routed_newborn = [
-        [j for j in mid.newborn(p) if ma.routes[j] is not None]
-        for p, ma in enumerate(maps_a, start=1)]
+        (p, fresh) for p, ma in enumerate(maps_a, start=1)
+        if (fresh := [j for j in mid.newborn(p) if ma.routes[j] is not None])]
     src_level = alpha.level_index(horizon)
 
     traces = []
@@ -339,10 +319,9 @@ def check_exactness(
         a = coherent_from_top(alpha.source, a_top, src_level, selfadjoint=True)
 
         trace = [0.0] * trace_length
-        for p, fresh in enumerate(routed_newborn, start=1):
+        for p, fresh in routed_newborn:
             images = _squash_image(
-                maps_a[p - 1], project(a, alpha.level_index(p)), fresh,
-                trace_length, not alpha.continuous)
+                maps_a[p - 1], a, alpha.level_index(p), fresh, trace_length)
             targets = b.level_blocks(p, fresh)
             for k, image in enumerate(images):
                 trace[k] = max([trace[k]] + [

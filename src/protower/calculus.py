@@ -22,18 +22,13 @@ from typing import Callable
 import numpy as np
 
 from .core_algebra import (
-    AlgebraElement,
-    AlgebraError,
-    BlockAlgebra,
     ExpI,
     FunctionDescriptor,
     PreconditionError,
-    _are_normal,
     _block_eigenvalues,
+    _block_functions,
     _block_norm,
-    _normal_calculus,
     cluster_points,
-    is_selfadjoint,
 )
 from .tower import Certificates, CoherentElement
 
@@ -106,7 +101,17 @@ def seminorm(e: CoherentElement, p: int) -> float:
     The blocks of level p are, up to conjugation, those born at levels
     1..p, so it is the largest norm of a newborn block up to level p.
     """
-    return max(_block_norm(b) for _, _, blocks in e.newborn_blocks(p) for b in blocks)
+    return _level_seminorms(e, p)[-1]
+
+
+def _level_seminorms(e: CoherentElement, top: int) -> list[float]:
+    """seminorm(e, p) for p = 1..top, from one walk over the newborn
+    blocks that keeps a running maximum."""
+    out, best = [], 0.0
+    for _, _, blocks in e.newborn_blocks(top):
+        best = max([best, *map(_block_norm, blocks)])
+        out.append(best)
+    return out
 
 
 # Relative slack per unit of block size that covers the rounding of the
@@ -303,29 +308,11 @@ def lift_function(
 
 def _lifted(e: CoherentElement, f: FunctionDescriptor, tol: float,
             selfadjoint: bool = False) -> Callable[[int, list[int]], list[np.ndarray]]:
-    """The generator of f(e): f of each requested block alone, judged at its
-    own scale. A normal block, or with ``selfadjoint`` a block that must be
-    self-adjoint, goes through the normal calculus; a non-normal one needs
-    an analytic f. A failure names the level and the block.
-    """
+    """The generator of f(e): f of each requested block alone, by the
+    per-block rule ``_block_functions``."""
     def gen(p: int, indices: list[int]) -> list[np.ndarray]:
-        out = []
-        for i, b in zip(indices, e.level_blocks(p, indices)):
-            where = f"level {p} block {i}"
-            if selfadjoint and not is_selfadjoint(
-                    AlgebraElement(BlockAlgebra(b.shape[:1]), [b]), tol):
-                raise PreconditionError(f"{where} is not self-adjoint within {tol}")
-            try:
-                if selfadjoint or _are_normal([b[None]], tol)[0]:
-                    out.append(_normal_calculus([b[None]], f, tol, [i])[0][0])
-                    continue
-                if not f.analytic:
-                    raise PreconditionError(f"{f!r} needs a normal block")
-                f.check_domain(_block_eigenvalues(b, i), tol)
-                out.append(f.apply_matrix(b))
-            except AlgebraError as exc:
-                raise type(exc)(f"{where}: {exc}") from exc
-        return out
+        return [_block_functions(b, [f], tol, i, p, selfadjoint)[0]
+                for i, b in zip(indices, e.level_blocks(p, indices))]
 
     return gen
 

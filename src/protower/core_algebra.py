@@ -509,9 +509,9 @@ class FunctionDescriptor:
     """A scalar function that can be applied to algebra elements.
 
     ``analytic`` descriptors (plain polynomials in z, the rational squash
-    family) may be applied to arbitrary elements through matrix
-    arithmetic; everything else requires a normal element and goes through
-    unitary diagonalization.
+    family) may be applied to arbitrary blocks through matrix arithmetic;
+    everything else requires normal blocks and goes through unitary
+    diagonalization (``_block_functions``).
     """
 
     analytic = False
@@ -815,38 +815,53 @@ def _rebuild(v: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _normal_calculus(
-    stacks: list[np.ndarray], f: FunctionDescriptor, tol: float,
-    block_indices: list[int] | None = None,
+    stacks: list[np.ndarray], f: FunctionDescriptor, tol: float = DEFAULT_NORMALITY_TOL,
 ) -> list[np.ndarray]:
     """f of each element of a stack list, whose elements must be normal.
 
     Every block position is diagonalized as one stack, f's domain is
     checked on all eigenvalues, and each block is rebuilt as
-    v diag(f(d)) v*. apply_function on a normal element is its height-1
-    case. Errors name each stack's block by ``block_indices``, by default
-    its position.
+    v diag(f(d)) v*. Each row equals apply_function of its element when
+    all its blocks are normal.
     """
-    names = range(len(stacks)) if block_indices is None else block_indices
-    eigen = [_diagonalize_normals(stack, tol, i) for i, stack in zip(names, stacks)]
+    eigen = [_diagonalize_normals(stack, tol, i) for i, stack in enumerate(stacks)]
     f.check_domain(np.concatenate([d.ravel() for _, d in eigen]), tol)
     return [_rebuild(v, np.asarray(f(d), dtype=complex)) for v, d in eigen]
 
 
-def _apply_function_stacks(
-    stacks: list[np.ndarray], f: FunctionDescriptor, tol: float = DEFAULT_NORMALITY_TOL
+def _block_functions(
+    b: np.ndarray, fs: list[FunctionDescriptor], tol: float, i: int,
+    level: int | None = None, selfadjoint: bool = False,
 ) -> list[np.ndarray]:
-    """apply_function of each element of a stack list.
+    """f(b) for each f in fs: how a function acts on block i of a level.
 
-    Normal elements share one diagonalization per block position. If any
-    element is not normal, each goes through apply_function alone, with
-    its checks and errors.
+    b is judged at its own scale. A normal block, or with ``selfadjoint``
+    a block that must be self-adjoint, is diagonalized once and rebuilt as
+    v diag(f(d)) v*; a non-normal block needs analytic fs, applied by
+    matrix arithmetic. Each f's domain is checked on b's eigenvalues
+    first. A failure names the block, and the level when given.
     """
-    if all(_are_normal(stacks, tol)):
-        return _normal_calculus(stacks, f, tol)
-    alg = BlockAlgebra(tuple(stack.shape[-1] for stack in stacks))
-    return _stacked([
-        apply_function(AlgebraElement(alg, [stack[k] for stack in stacks]), f, tol)
-        for k in range(stacks[0].shape[0])])
+    where = f"block {i}" if level is None else f"level {level} block {i}"
+    if selfadjoint and not is_selfadjoint(
+            AlgebraElement(BlockAlgebra(b.shape[:1]), [b]), tol):
+        raise PreconditionError(f"{where} is not self-adjoint within {tol}")
+    try:
+        normal = selfadjoint or _are_normal([b[None]], tol)[0]
+        if normal:
+            v, points = _diagonalize_normal(b, tol, i)
+        else:
+            for f in fs:
+                if not f.analytic:
+                    raise PreconditionError(
+                        "non-analytic calculus needs a normal block; "
+                        f"{f!r} applied to a non-normal one")
+            points = _block_eigenvalues(b, i)
+        for f in fs:
+            f.check_domain(points, tol)
+        return [_rebuild(v, np.asarray(f(points), dtype=complex)) if normal
+                else f.apply_matrix(b) for f in fs]
+    except AlgebraError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def apply_function(
@@ -856,18 +871,10 @@ def apply_function(
 ) -> AlgebraElement:
     """Continuous functional calculus f(x) at a single level.
 
-    Normal elements are diagonalized unitarily and f is applied to the
-    eigenvalues. Non-normal elements are only accepted for analytic
-    descriptors, which are evaluated by matrix arithmetic.
+    f acts on each block alone (``_block_functions``): a normal block is
+    diagonalized unitarily and f is applied to its eigenvalues; a
+    non-normal block is only accepted for an analytic descriptor, which
+    is evaluated by matrix arithmetic.
     """
-    if is_normal(x, tol):
-        return AlgebraElement(
-            x.parent, [s[0] for s in _normal_calculus(_stacked([x]), f, tol)])
-    if not f.analytic:
-        raise PreconditionError(
-            "non-analytic calculus needs a normal element; "
-            f"{f!r} applied to a non-normal one")
-    f.check_domain(
-        np.concatenate([_block_eigenvalues(b, i) for i, b in enumerate(x.blocks)]),
-        tol)
-    return AlgebraElement(x.parent, [f.apply_matrix(b) for b in x.blocks])
+    return AlgebraElement(x.parent, [
+        _block_functions(b, [f], tol, i)[0] for i, b in enumerate(x.blocks)])

@@ -19,6 +19,7 @@ import numpy as np
 
 from .bounded_functor import check_exactness, kernel_quotient_check, quotient_iso_check
 from .calculus import (
+    _level_seminorms,
     is_spectrally_bounded,
     lift_function,
     pro_spectrum,
@@ -34,7 +35,7 @@ from .core_algebra import (
     RationalSquash,
     StructuralError,
     _adjoint_stack,
-    _apply_function_stacks,
+    _normal_calculus,
     _spectra,
     _spectral_radii,
     _stack_distances,
@@ -136,7 +137,7 @@ def _check_funcalc(spec, cfg) -> list[CheckRecord]:
     f = _make_function(cfg)
     horizon = cfg["horizon"]
     lifted = lift_function(e, f)
-    norms = [seminorm(lifted, p) for p in range(1, lifted.max_level(horizon) + 1)]
+    norms = _level_seminorms(lifted, lifted.max_level(horizon))
     rep = pro_spectrum(lifted, horizon, cfg["cluster_tol"])
     return [CheckRecord(
         "functional-calculus", "funcalc", True,
@@ -221,8 +222,7 @@ def _check_unitary_log(spec, cfg) -> list[CheckRecord]:
     return [CheckRecord(
         "unitary-log", "unitary-log", residual <= 10 * tol,
         {"branch": branch, "residual": residual,
-         "log_norms": [seminorm(log, p)
-                       for p in range(1, e.max_level(horizon) + 1)]})]
+         "log_norms": _level_seminorms(log, e.max_level(horizon))})]
 
 
 def _check_exp_factor(spec, cfg) -> list[CheckRecord]:
@@ -350,9 +350,9 @@ def gelfand_records(spec, seed: int, probes: int = 100) -> list[CheckRecord]:
     for _ in range(probes):
         e = coherent_from_top(tower, random_element(tower.level(5), rng), 5)
         ev = _evaluate(chars, e)
-        for p in range(1, 6):
+        for p, norm in enumerate(_level_seminorms(e, 5), start=1):
             worst = max(worst, abs(
-                seminorm(e, p) - max(abs(v) for v in ev.restriction(p))))
+                norm - max(abs(v) for v in ev.restriction(p))))
     records.append(CheckRecord(
         "evaluation-seminorm-identity", "five-point-duality", worst <= 1e-12,
         {"max_residual": worst, "probes": probes}))
@@ -398,7 +398,7 @@ def unitary_suite_records(seed: int, count: int = 100) -> list[CheckRecord]:
             branch, _ = largest_gap_branch(
                 np.angle(np.concatenate([e[k] for e in eigs])))
             logs.append(single_level_log(x, branch, tol=1e-9, level=p))
-        back = _apply_function_stacks(_stacked(logs), ExpI(1.0))
+        back = _normal_calculus(_stacked(logs), ExpI(1.0))
         residuals += _stack_distances(back, xs).tolist()
         deviations += np.abs(_stack_norms(xs) - 1.0).tolist()
     valid = [identity_component_check(u, horizon=4, tol=1e-9).valid for u in us]

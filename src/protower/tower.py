@@ -780,8 +780,7 @@ class TowerHomomorphism:
     level ``level_index(p)`` (identity reindexing by default). Naturality
     with both chains of connecting maps is what makes the levelwise data a
     morphism of the limits; ``verify_naturality`` measures it on probes.
-    The continuity flag records that every levelwise map in this finite
-    model is automatically continuous.
+    Every levelwise map of this finite model is continuous.
     """
 
     def __init__(
@@ -790,13 +789,11 @@ class TowerHomomorphism:
         target: Tower,
         level_maps: Callable[[int], BlockMap] | list[BlockMap],
         level_index: Callable[[int], int] | None = None,
-        continuous: bool = True,
     ):
         self.source = source
         self.target = target
         self._maps = level_maps
         self.level_index = level_index or (lambda p: p)
-        self.continuous = continuous
 
     def level_map(self, p: int) -> BlockMap:
         m = self._maps(p) if callable(self._maps) else self._maps[p - 1]
@@ -844,7 +841,6 @@ class TowerHomomorphism:
             self.target,
             maps,
             level_index=lambda p: inner.level_index(self.level_index(p)),
-            continuous=self.continuous and inner.continuous,
         )
 
     def verify_naturality(self, up_to: int, rng, probes: int = 50, tol: float = 1e-12):

@@ -31,6 +31,7 @@ from .core_algebra import (
     BranchError,
     ExpI,
     PreconditionError,
+    PrincipalArg,
     _block_eigenvalues,
     _block_norm,
     _diagonalize_normal,
@@ -102,12 +103,6 @@ def exp_selfadjoint(
         1.0, "exponential of a self-adjoint element", unitary=True))
 
 
-def _branch_shift(args: np.ndarray, branch_angle: float) -> np.ndarray:
-    """Shift raw angles into (branch_angle - 2*pi, branch_angle)."""
-    return args - 2 * math.pi * np.ceil(
-        (args - branch_angle) / (2 * math.pi))
-
-
 def _block_log(
     b: np.ndarray, branch_angle: float, tol: float, i: int, level: int | None
 ) -> np.ndarray:
@@ -123,7 +118,7 @@ def _block_log(
             raise BranchError(
                 f"eigenvalue {lam} of block {i}{where} is within {tol} "
                 f"of the branch ray at angle {branch_angle:.6f}")
-    h = _rebuild(v, _branch_shift(np.angle(d), branch_angle).astype(complex))
+    h = _rebuild(v, PrincipalArg(branch_angle)(d))
     return 0.5 * (h + h.conj().T)
 
 

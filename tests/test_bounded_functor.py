@@ -224,17 +224,6 @@ def test_exactness_failure_shows_proper_inclusion():
     assert report.image_dims[-1] < report.kernel_dims[-1]
 
 
-def test_discontinuous_alpha_uses_rational_route():
-    t, dec = ideal_sequence(4)
-    alpha = TowerHomomorphism(
-        dec.ideal, t, lambda p: dec.inclusion.level_map(p), continuous=False)
-    rng = stream(59, "discontinuous")
-    report = check_exactness(
-        alpha, dec.quotient_map, probes=4, horizon=4, tol=1e-10, rng=rng)
-    assert report.verdict_original
-    assert report.traces_within_bound
-
-
 def test_quotient_iso_check_block_ideal():
     t, _ = ideal_sequence(4)
     rng = stream(60, "quotient-iso")
@@ -475,13 +464,7 @@ def all_levels_trace(alpha, a, b, horizon, trace_length):
     """The squash trace measured on every level, as alpha(f_n(a)) - b."""
     trace = []
     for n in range(1, trace_length + 1):
-        f = RationalSquash(n)
-        if alpha.continuous:
-            squashed = lift_function(a, f)
-        else:
-            squashed = CoherentElement(a.tower, generator=lambda p, idx, f=f: [
-                f.apply_matrix(x) for x in a.level_blocks(p, idx)])
-        image = alpha.apply(squashed)
+        image = alpha.apply(lift_function(a, RationalSquash(n)))
         trace.append(max(
             distance(project(image, p), project(b, p))
             for p in range(1, horizon + 1)))
@@ -515,14 +498,56 @@ def test_newborn_trace_equals_all_levels_on_identity_routes(monkeypatch):
     assert new == old
 
 
-@pytest.mark.parametrize("continuous", [True, False])
-def test_newborn_trace_matches_all_levels_on_twisted_tower(monkeypatch, continuous):
+def test_newborn_trace_matches_all_levels_on_twisted_tower(monkeypatch):
     dec = twisted_ideal(6, 75)
-    alpha = TowerHomomorphism(
-        dec.ideal, dec.tower, dec.inclusion.level_map, continuous=continuous)
-    new, old = replayed_traces(monkeypatch, alpha, dec.quotient_map, 6, 76)
+    new, old = replayed_traces(
+        monkeypatch, dec.inclusion, dec.quotient_map, 6, 76)
     for got, want in zip(new, old):
         assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-12
+
+
+def test_newborn_trace_matches_all_levels_on_conjugating_routes(monkeypatch):
+    # alpha conjugates each ideal block by one Haar unitary at every level,
+    # which is natural because the product chain's connecting maps route
+    # without conjugators; the trace must carry the conjugators into place
+    t = shifted_chain(levels=6)
+    dec = closed_ideal(t, [frozenset(range(0, p + 1, 2)) for p in range(1, 7)])
+    rng = stream(79, "conjugating-routes")
+    us = [haar(n, rng) for n in dec.ideal.level(6).block_sizes]
+    maps = [dec.inclusion.level_map(p) for p in range(1, 7)]
+    alpha = TowerHomomorphism(dec.ideal, t, [
+        BlockMap(m.source, m.target, tuple(
+            None if r is None else (r[0], us[r[0]]) for r in m.routes))
+        for m in maps])
+    new, old = replayed_traces(monkeypatch, alpha, dec.quotient_map, 6, 80)
+    for got, want in zip(new, old):
+        assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-12
+
+
+def test_squash_trace_never_materializes_the_preimage(monkeypatch):
+    # the trace reads only the preimage blocks routed to newborn targets
+    built, materialized = [], []
+    real = CoherentElement.materialize
+
+    def recording(self, p):
+        materialized.append(self)
+        return real(self, p)
+
+    def building(*args, **kwargs):
+        built.append(coherent_from_top(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(CoherentElement, "materialize", recording)
+    monkeypatch.setattr(bounded_functor, "coherent_from_top", building)
+    for dec, horizon in ((wide_product_ideal(), 5), (twisted_ideal(6, 77), 6)):
+        built.clear()
+        report = check_exactness(
+            dec.inclusion, dec.quotient_map, probes=3, horizon=horizon,
+            tol=1e-10, rng=stream(78, "no-materialize"))
+        assert len(report.traces) == 3 and report.traces_within_bound
+        preimages = built[1::2]  # each probe builds b, then its preimage a
+        assert len(preimages) == 3
+        assert not any(e is a for e in materialized for a in preimages)
 
 
 # ---------------------------------------------------------------------------

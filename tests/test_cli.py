@@ -269,6 +269,29 @@ def test_funcalc_domain_error_fails_run(spec):
     assert not report.all_passed
 
 
+def test_funcalc_builds_each_lifted_block_once_per_walk(spec, monkeypatch):
+    # one walk for the level norms and one for the spectrum: at most 2H
+    # squashes of a shift block, where a seminorm per level makes H^2/2
+    from protower.calculus import _level_seminorms, lift_function, seminorm
+    from protower.core_algebra import RationalSquash
+
+    calls = []
+    real = RationalSquash.apply_matrix
+    monkeypatch.setattr(RationalSquash, "apply_matrix",
+                        lambda self, b: calls.append(b) or real(self, b))
+    lifted = lift_function(spec.element("shift"), RationalSquash(1))
+    norms = _level_seminorms(lifted, 100)
+    assert len(calls) <= 100
+    assert [norms[p - 1] for p in (1, 2, 50, 100)] == [
+        seminorm(lifted, p) for p in (1, 2, 50, 100)]
+    calls.clear()
+    report = run("funcalc", spec,
+                 {"element": "shift", "function": "squash", "index": 1,
+                  "horizon": 100})
+    assert report.records[0].details["level_norms"] == norms
+    assert len(calls) <= 200
+
+
 def test_quotient_iso_cli_flags(spec):
     report = run(
         "quotient-iso", spec,

@@ -19,9 +19,13 @@ from protower.calculus import (
 from protower.core_algebra import (
     BlockAlgebra,
     ExpI,
+    Polynomial,
+    PreconditionError,
+    RationalSquash,
     StructuralError,
     TruncationError,
     _block_norm,
+    apply_function,
     cluster_points,
     cstar_norm,
     distance,
@@ -485,6 +489,43 @@ def test_sweeps_match_full_levels_on_twisted_tower():
         assert verdict.is_bounded
         assert abs(verdict.bound - max(cstar_norm(y) for y in levels)) <= 1e-10
         assert check_coherence(e, horizon).passed
+
+
+def bits(blocks):
+    return [np.ascontiguousarray(b).tobytes() for b in blocks]
+
+
+def test_apply_function_and_lift_function_share_the_per_block_rule():
+    # a level's calculus and the lift agree bitwise, also on levels that
+    # mix normal blocks with non-normal ones
+    rng = stream(32, "per-block-rule")
+    t = make_product_tower(lambda k: k, 5, lazy=False)
+    herm = random_selfadjoint(t.level(5), rng)
+    shift_top = t.level(5).element(
+        [*herm.blocks[:-1], project(shift_element(t), 5).blocks[-1]])
+    # block 1 is normal at the scale 1e6 of the level, not at its own
+    scales = make_product_tower([1, 2], 2, lazy=False)
+    cases = [coherent_from_top(t, shift_top, 5), coherent_from_top(
+        scales, scales.level(2).element([[[1e6]], [[0, 1 + 1e-6], [1, 0]]]), 2)]
+    for seed in range(3):
+        tw, _ = twisted_chain(6, stream(seed, "per-block-twisted"))
+        h = random_selfadjoint(tw.level(6), rng)
+        x = random_element(tw.level(6), rng)
+        cases.append(coherent_from_top(tw, tw.level(6).element(
+            [hb if i % 2 else xb for i, (hb, xb) in enumerate(zip(h.blocks, x.blocks))]),
+            6))
+    for e in cases:
+        for f in (RationalSquash(2), Polynomial.in_z([0.5, -1.0, 0.25j])):
+            lifted = lift_function(e, f)
+            for p in range(1, e.tower.horizon + 1):
+                assert bits(project(lifted, p).blocks) == bits(
+                    apply_function(project(e, p), f).blocks)
+    # a non-analytic f refuses the shift block, by the same rule
+    refusal = "block 4: non-analytic calculus needs a normal block.*non-normal"
+    with pytest.raises(PreconditionError, match="^" + refusal):
+        apply_function(project(cases[0], 5), ExpI(1.0))
+    with pytest.raises(PreconditionError, match="^level 5 " + refusal):
+        project(lift_function(cases[0], ExpI(1.0)), 5)
 
 
 def full_sweep_verdict(e, horizon, threshold):
